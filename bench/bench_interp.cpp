@@ -244,11 +244,7 @@ int main(int Argc, char **Argv) {
   std::printf("workload scale: %.2f, repetitions: %u "
               "(MPC_BENCH_SCALE / MPC_BENCH_REPS to change)\n",
               Scale, Reps);
-#if defined(__GNUC__) && !defined(MPC_VM_NO_COMPUTED_GOTO)
   std::printf("dispatch: direct-threaded (computed goto)\n");
-#else
-  std::printf("dispatch: token-threaded (switch fallback)\n");
-#endif
 
   const Family Families[] = {Family::ClosureHeavy, Family::MegaMethods,
                              Family::Mixed};

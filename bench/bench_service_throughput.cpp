@@ -64,7 +64,6 @@ Outcome measure(const std::vector<std::vector<SourceInput>> &JobSources,
     ServiceConfig Cfg;
     Cfg.Threads = benchThreads();
     Cfg.WarmContexts = Warm;
-    Cfg.SharePages = Warm;
     // This bench measures the warm-CONTEXT path; with the artifact cache
     // on, repetitions would replay instead of recompiling (that effect
     // has its own benchmark, bench_cache_warm_edit).
@@ -87,8 +86,8 @@ Outcome measure(const std::vector<std::vector<SourceInput>> &JobSources,
     Out.QueueWaitSec = 0;
     Out.CompileSec = 0;
     for (const BatchResult &R : Results) {
-      Out.QueueWaitSec += R.Out.Timings.QueueWaitSec;
-      Out.CompileSec += R.Out.Timings.totalSec();
+      Out.QueueWaitSec += R.Timings.QueueWaitSec;
+      Out.CompileSec += R.Timings.totalSec();
     }
     Out.QueueDepthPeak = Service.stats().get("service.queueDepthPeak");
     Out.ContextsReused = Service.stats().get("service.contextsReused");

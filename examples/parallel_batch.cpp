@@ -3,7 +3,8 @@
 // compilation in a big project", §5.2) driven through the compileBatch
 // API. Twelve generated code bases are compiled across a worker pool;
 // compiler instances share nothing, so the speedup is near-linear until
-// memory bandwidth saturates.
+// memory bandwidth saturates. The typed tree dumps of the serial and the
+// parallel run must be byte-identical; the program exits 1 if they differ.
 //
 //   $ ./examples/parallel_batch [threads]
 //===----------------------------------------------------------------------===//
@@ -14,6 +15,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 using namespace mpc;
@@ -28,22 +30,25 @@ std::vector<BatchJob> makeJobs() {
     BatchJob J;
     J.Sources = generateWorkload(P);
     J.Kind = PipelineKind::StandardFused;
+    J.WantDump = true;
     Jobs.push_back(std::move(J));
   }
   return Jobs;
 }
 
-double timeBatch(unsigned Threads, uint64_t *TotalInstrs) {
+/// Compiles the job set on \p Threads workers; returns the wall time and
+/// appends every job's tree dump to \p Dumps.
+double timeBatch(unsigned Threads, std::string *Dumps) {
+  std::vector<BatchJob> Jobs = makeJobs();
   Timer T;
-  std::vector<BatchResult> Results = compileBatch(makeJobs(), Threads);
+  std::vector<BatchResult> Results = compileBatch(std::move(Jobs), Threads);
   double Sec = T.elapsedSeconds();
-  *TotalInstrs = 0;
   for (BatchResult &R : Results) {
     if (R.HadErrors) {
       std::printf("unexpected errors:\n%s\n", R.DiagText.c_str());
       std::exit(1);
     }
-    *TotalInstrs += R.Out.Prog.totalInstructions();
+    *Dumps += R.DumpText;
   }
   return Sec;
 }
@@ -57,9 +62,9 @@ int main(int argc, char **argv) {
               "%u hardware threads available\n\n",
               Cores);
 
-  uint64_t InstrSerial = 0, InstrParallel = 0;
-  double Serial = timeBatch(1, &InstrSerial);
-  double Parallel = timeBatch(Threads, &InstrParallel);
+  std::string DumpSerial, DumpParallel;
+  double Serial = timeBatch(1, &DumpSerial);
+  double Parallel = timeBatch(Threads, &DumpParallel);
 
   std::printf("  serial   (1 worker):  %6.3fs\n", Serial);
   std::printf("  parallel (%u workers): %6.3fs   speedup %.2fx\n", Threads,
@@ -67,11 +72,11 @@ int main(int argc, char **argv) {
   if (Cores <= 1)
     std::printf("  (single-core machine: correctness is exercised, "
                 "speedup is not expected)\n");
-  if (InstrSerial != InstrParallel) {
+  if (DumpSerial != DumpParallel) {
     std::printf("MISMATCH: outputs differ between serial and parallel!\n");
     return 1;
   }
-  std::printf("  outputs identical: %llu bytecode instructions both ways\n",
-              (unsigned long long)InstrSerial);
+  std::printf("  outputs identical: %zu bytes of typed tree dumps both ways\n",
+              DumpSerial.size());
   return 0;
 }

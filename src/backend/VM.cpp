@@ -38,15 +38,6 @@
 
 using namespace mpc;
 
-// Direct threading needs GNU labels-as-values; MSVC and strict-ISO builds
-// fall back to the token-threaded switch. MPC_VM_NO_COMPUTED_GOTO forces
-// the fallback so the CI matrix can differential-test both loops.
-#if !defined(MPC_VM_NO_COMPUTED_GOTO) && defined(__GNUC__)
-#define MPC_VM_COMPUTED_GOTO 1
-#else
-#define MPC_VM_COMPUTED_GOTO 0
-#endif
-
 namespace {
 
 struct VMObj;
@@ -703,13 +694,11 @@ private:
   std::vector<uint64_t> Pairs;
 };
 
-//===--- run(): both dispatch loops from one opcode body list -------------===//
+//===--- run(): the direct-threaded dispatch loop -------------------------===//
 
-#if MPC_VM_COMPUTED_GOTO
+// Dispatch uses GNU labels-as-values, which every supported compiler
+// (GCC, Clang) provides.
 #define VM_CASE(Name) Lbl_##Name:
-#else
-#define VM_CASE(Name) case LOp::Name:
-#endif
 
 /// Save the caller-visible Pc into the current frame (the unwinder and
 /// callee pushes need it).
@@ -750,7 +739,6 @@ private:
 #define VM_NEXT() goto dispatch
 
 bool VM::Impl::run() {
-#if MPC_VM_COMPUTED_GOTO
   // One label per opcode, in exact LOp order: the enum value indexes this
   // table, and the threading pass below bakes the address into LInstr::H.
   static const void *const Labels[] = {
@@ -789,7 +777,6 @@ bool VM::Impl::run() {
         L.H = Labels[static_cast<size_t>(L.Code)];
     LP.Threaded = true;
   }
-#endif
 
   const LInstr *Code = nullptr;
   const LInstr *Ip = nullptr;
@@ -815,11 +802,7 @@ dispatch:
     Pairs[PrevOp * static_cast<size_t>(LOp::NumLOps) + Cur]++;
     PrevOp = Cur;
   }
-#if MPC_VM_COMPUTED_GOTO
   goto *const_cast<void *>(Ip->H);
-#else
-  switch (Ip->Code) {
-#endif
 
   VM_CASE(Nop)
   VM_NEXT();
@@ -1587,11 +1570,6 @@ dispatch:
     VM_NEXT();
   }
 
-#if !MPC_VM_COMPUTED_GOTO
-  default:
-    VM_TRAP_ERR("corrupt opcode");
-  }
-#endif
   return true; // unreachable: every opcode body jumps or returns
 }
 

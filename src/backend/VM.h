@@ -4,16 +4,12 @@
 /// A direct-threaded bytecode VM over the linked program (Linker.h). The
 /// execution-model counterpart of the tree interpreter: flat tagged
 /// values, slot-indexed frames on one contiguous value stack, monomorphic
-/// inline caches on virtual-call and field sites, and (under GCC/Clang)
-/// computed-goto dispatch with the label address cached in each
-/// instruction. The tree interpreter stays in place as the semantic
-/// oracle — for every valid program the VM must produce byte-identical
-/// output, uncaught-exception text, and error strings (the differential
-/// suite in tests/backend/VMExecutionTest.cpp enforces this).
-///
-/// Dispatch is direct-threaded when MPC_VM_COMPUTED_GOTO is available
-/// (GNU labels-as-values); defining MPC_VM_NO_COMPUTED_GOTO forces the
-/// portable token-threaded switch loop, which the CI matrix exercises.
+/// inline caches on virtual-call and field sites, and computed-goto
+/// dispatch with the label address cached in each instruction. The tree
+/// interpreter stays in place as the semantic oracle — for every valid
+/// program the VM must produce byte-identical output, uncaught-exception
+/// text, and error strings (the differential suite in
+/// tests/backend/VMExecutionTest.cpp enforces this).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -66,12 +66,6 @@ struct CompilerOptions {
   /// cache/perf simulators are attached (so the memsim figures keep
   /// modelling the full walk).
   bool SubtreePruning = true;
-  /// Treat the unit as a DAG (paper §9 future work): subtrees shared via
-  /// hash-consing or tree reuse are transformed once and the result is
-  /// reused at every other occurrence, preserving sharing in the output.
-  /// Automatically ignored for blocks containing phases with prepare
-  /// hooks, whose transforms may depend on the path from the root.
-  bool DagMemoize = false;
   /// Back tree-node storage with the ManagedHeap's size-class slab
   /// allocator instead of one system allocation per node. Affects only
   /// where real bytes live: the simulated allocation clock (Figures 5/6)

@@ -115,9 +115,7 @@ TreePtr FusedBlock::transformTree(TreePtr Root, PhaseRunContext &Ctx) {
   ActiveTransformBits = Prune ? TransformBits : 0;
   ActivePrepareBits = Prune ? PrepareBits : 0;
   assert(KidScratch.empty() && "scratch leaked from a previous run");
-  TreePtr Out = walk(Root.get(), Ctx);
-  DagMemo.clear();
-  return Out;
+  return walk(Root.get(), Ctx);
 }
 
 /// The single postorder traversal shared by all phases of the block
@@ -142,20 +140,6 @@ TreePtr FusedBlock::walk(Tree *T, PhaseRunContext &Ctx) {
       ++NumPrepareOnly;
       walkPrepareOnly(T, Ctx);
       return TreePtr(T);
-    }
-  }
-
-  // DAG mode (§9 future work): a subtree referenced from more than one
-  // parent is transformed once; later occurrences reuse the result, which
-  // both saves the re-walk and preserves sharing in the output. Blocks
-  // with prepare hooks never memoize — their transforms may legitimately
-  // produce different trees on different paths from the root.
-  bool Memoize =
-      Comp.options().DagMemoize && !HasPrepares && T->refCount() > 1;
-  if (Memoize) {
-    if (TreePtr *Hit = DagMemo.find(T)) {
-      ++NumSharedHits;
-      return *Hit;
     }
   }
 
@@ -213,8 +197,6 @@ TreePtr FusedBlock::walk(Tree *T, PhaseRunContext &Ctx) {
   for (unsigned I = PR.Len; I > 0; --I)
     Phases[Preps[I - 1]]->dispatchLeave(T, Ctx);
 
-  if (Memoize)
-    DagMemo.insert(T, Out);
   return Out;
 }
 

@@ -48,7 +48,6 @@
 #define MPC_CORE_FUSEDBLOCK_H
 
 #include "core/Phase.h"
-#include "support/FlatPtrMap.h"
 
 #include <vector>
 
@@ -78,18 +77,14 @@ public:
   /// kinds but no transform-interesting ones, so hooks run but all
   /// rebuild bookkeeping is skipped and the subtree is returned as-is.
   uint64_t prepareOnlyWalks() const { return NumPrepareOnly; }
-  /// Shared-subtree reuses under CompilerOptions::DagMemoize (§9).
-  uint64_t sharedHits() const { return NumSharedHits; }
   void resetStats() {
     NumVisited = 0;
     NumHooks = 0;
     NumPruned = 0;
     NumPrepareOnly = 0;
-    NumSharedHits = 0;
   }
 
-  /// True when any constituent phase declares prepare hooks; such blocks
-  /// never memoize shared subtrees (the transforms may be path-dependent).
+  /// True when any constituent phase declares prepare hooks.
   bool hasPrepares() const { return HasPrepares; }
 
   /// Union of the constituent phases' transform kind masks, as bits.
@@ -134,10 +129,6 @@ private:
   uint64_t NumHooks = 0;
   uint64_t NumPruned = 0;
   uint64_t NumPrepareOnly = 0;
-  uint64_t NumSharedHits = 0;
-  /// Per-run memo for DAG mode: input node -> fully transformed result.
-  /// Flat open-addressing table keyed by node address (hot-path lookup).
-  FlatPtrMap<const Tree *, TreePtr> DagMemo;
   /// Stack-shaped scratch holding the NewKids of every node on the
   /// current recursion spine; walk() pushes transformed children here and
   /// the copier moves them out, so no per-node vector is ever allocated.

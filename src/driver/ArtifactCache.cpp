@@ -5,11 +5,7 @@ using namespace mpc;
 ArtifactCache::ArtifactCache(CacheConfig Config) : Cfg(Config) {}
 
 size_t ArtifactCache::artifactBytes(const CachedArtifact &Artifact) {
-  size_t Bytes = sizeof(Entry) + Artifact.DiagText.size() +
-                 Artifact.DumpText.size();
-  for (const std::string &E : Artifact.PlanErrors)
-    Bytes += sizeof(std::string) + E.size();
-  return Bytes;
+  return sizeof(Entry) + Artifact.DiagText.size() + Artifact.DumpText.size();
 }
 
 bool ArtifactCache::lookup(const JobKey &Key, CachedArtifact &Out) {

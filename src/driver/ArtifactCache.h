@@ -8,14 +8,14 @@
 /// lever on served-traffic cost is not compiling faster but not
 /// compiling at all. The cache maps a JobKey (the 128-bit content
 /// fingerprint of sources + cache-relevant options + pipeline kind, see
-/// driver/Batch.h) to the *replayable* slice of a finished BatchResult:
-/// the rendered dump, rendered diagnostics, error flag, timings, and the
-/// simulated HeapStats snapshot. Everything context-owned (trees,
-/// bytecode, symbols) is deliberately absent — a hit is replayed without
-/// touching a CompilerContext at all, which is what makes it cheap.
+/// driver/Batch.h) to a copy of the finished BatchResult: the rendered
+/// dump, rendered diagnostics, error flag, timings, and the simulated
+/// HeapStats snapshot. A BatchResult never holds context-owned data
+/// (trees, bytecode, symbols), so a hit is replayed without touching a
+/// CompilerContext at all, which is what makes it cheap.
 ///
 /// Replay is byte-exact: the stored payload is precisely what the
-/// service's miss path would have produced, so a cache-hit drain is
+/// service's miss path produced, so a cache-hit drain is
 /// byte-identical to a cache-disabled run (pinned by CompileServiceTest
 /// at several worker counts). Error results replay too — diagnostics are
 /// deterministic text — unless CacheConfig::CacheErrors turns that off.
@@ -53,16 +53,10 @@ struct CacheConfig {
   bool CacheErrors = true;
 };
 
-/// The replayable slice of a BatchResult — everything except the
-/// context-owned data the service strips before recycling a shell.
-struct CachedArtifact {
-  CompileTimings Timings;
-  std::vector<std::string> PlanErrors;
-  bool HadErrors = false;
-  std::string DiagText;
-  std::string DumpText;
-  HeapStats Heap;
-};
+/// What the cache stores and replays: a finished BatchResult, copied
+/// whole. Its per-request fields (DequeueSeq, Timings.QueueWaitSec) are
+/// overwritten by the service on every delivery, replays included.
+using CachedArtifact = BatchResult;
 
 /// Mutex-guarded JobKey -> CachedArtifact map with byte accounting and
 /// capped LRU eviction.

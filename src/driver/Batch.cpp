@@ -5,6 +5,7 @@
 #include "support/CancelToken.h"
 #include "support/OStream.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -27,7 +28,6 @@ using namespace mpc;
 //     IdentitySkip     node reuse changes allocation clock
 //     SubtreePruning   observationally identical, but mixed anyway so the
 //                      pruning ablation never shares entries (conservative)
-//     DagMemoize       sharing changes allocation clock
 //     Strategy         dispatch strategy, mixed conservatively
 //     VerifyBytecode   fills Program::VerifyFailures; callers reading
 //                      verifier output must never replay an entry from a
@@ -45,20 +45,19 @@ using namespace mpc;
 //                      cached artifact is the compile output, which is
 //                      identical either way, and the VM differential
 //                      suite pins engine-equivalence of the execution.
-static_assert(sizeof(CompilerOptions) == 16,
+static_assert(sizeof(CompilerOptions) == 12,
               "CompilerOptions changed: audit the cache-relevance lists "
               "above, extend optionsFingerprint(), then update this size");
 
 namespace {
 
 Fingerprint optionsFingerprint(const CompilerOptions &O) {
-  const unsigned char Bits[8] = {
+  const unsigned char Bits[7] = {
       static_cast<unsigned char>(O.FuseMiniphases),
       static_cast<unsigned char>(O.CheckTrees),
       static_cast<unsigned char>(O.AlwaysCopy),
       static_cast<unsigned char>(O.IdentitySkip),
       static_cast<unsigned char>(O.SubtreePruning),
-      static_cast<unsigned char>(O.DagMemoize),
       static_cast<unsigned char>(O.Strategy),
       static_cast<unsigned char>(O.VerifyBytecode),
   };
@@ -88,30 +87,25 @@ JobKey mpc::jobKeyFor(const BatchJob &Job) {
   return JobKey{FP};
 }
 
-BatchResult mpc::runBatchJob(BatchJob Job,
-                             std::unique_ptr<CompilerContext> Comp) {
+BatchResult mpc::runBatchJob(BatchJob Job, CompilerContext &Comp) {
   BatchResult R;
-  // The context moves into the result BEFORE the compile runs, so the
-  // firewall below hands it back even when the compile unwinds — the
-  // service decides whether the shell is still recyclable, but it must
-  // never be lost to an exception.
-  R.Comp = std::move(Comp);
 
   // Arm the job's soft deadline as a stack-local token. The token lives
-  // on this frame, so every exit path below detaches it before the
-  // context escapes.
+  // on this frame, so every exit path below detaches it before returning.
   CancelToken Token;
   if (Job.DeadlineSec > 0) {
     Token.armDeadline(CancelToken::Clock::now() +
                       std::chrono::duration_cast<CancelToken::Clock::duration>(
                           std::chrono::duration<double>(Job.DeadlineSec)));
-    R.Comp->setCancelToken(&Token);
+    Comp.setCancelToken(&Token);
   }
 
-  bool WantDump = Job.WantDump;
+  // The output (and with it every tree in the context heap) is local:
+  // it dies at return, once the dump below has been rendered.
+  CompileOutput Out;
   try {
-    R.Out = compileProgram(*R.Comp, std::move(Job.Sources), Job.Kind);
-    R.HadErrors = R.Comp->diags().hasErrors();
+    Out = compileProgram(Comp, std::move(Job.Sources), Job.Kind);
+    R.HadErrors = Comp.diags().hasErrors();
   } catch (const DeadlineExceeded &E) {
     // Checkpoints only throw between units / at phase boundaries, where
     // all trees are RAII-held — the unwind released them, so the context
@@ -119,7 +113,6 @@ BatchResult mpc::runBatchJob(BatchJob Job,
     R.Status = JobStatus::DeadlineExceeded;
     R.HadErrors = true;
     R.DiagText = std::string("error: ") + E.what() + "\n";
-    WantDump = false;
   } catch (const std::exception &E) {
     // Worker firewall: an arbitrary exception becomes a failed result.
     // Unlike a deadline unwind, the throw site is unknown (it may have
@@ -128,29 +121,27 @@ BatchResult mpc::runBatchJob(BatchJob Job,
     R.Status = JobStatus::Faulted;
     R.HadErrors = true;
     R.DiagText = std::string("error: compile job faulted: ") + E.what() + "\n";
-    WantDump = false;
   } catch (...) {
     R.Status = JobStatus::Faulted;
     R.HadErrors = true;
     R.DiagText = "error: compile job faulted: unknown exception\n";
-    WantDump = false;
   }
-  R.Comp->setCancelToken(nullptr);
+  Comp.setCancelToken(nullptr);
 
-  // Render any diagnostics (not just errors): in the service's
-  // context-recycling mode this snapshot is the only place warnings and
-  // notes survive the shell's reset. On a cancelled/faulted run the
-  // explanatory text above takes their place.
-  if (R.Status == JobStatus::Ok && !R.Comp->diags().all().empty()) {
+  // Render any diagnostics (not just errors): this snapshot is the only
+  // place warnings and notes survive the context. On a cancelled/faulted
+  // run the explanatory text above takes their place.
+  if (R.Status == JobStatus::Ok && !Comp.diags().all().empty()) {
     StringOStream OS;
-    R.Comp->diags().printAll(OS);
+    Comp.diags().printAll(OS);
     R.DiagText = OS.str();
   }
-  R.Heap = R.Comp->heap().stats();
-  if (WantDump && R.Status == JobStatus::Ok) {
+  R.Heap = Comp.heap().stats();
+  R.Timings = Out.Timings;
+  if (Job.WantDump && R.Status == JobStatus::Ok) {
     PrintOptions PO;
     PO.ShowTypes = true;
-    for (const CompilationUnit &U : R.Out.Units) {
+    for (const CompilationUnit &U : Out.Units) {
       R.DumpText += "// === " + U.FileName + " ===\n";
       R.DumpText += treeToString(U.Root.get(), PO);
       R.DumpText += '\n';
@@ -163,33 +154,12 @@ std::vector<BatchResult> mpc::compileBatch(std::vector<BatchJob> Jobs,
                                            unsigned Threads) {
   if (Jobs.empty())
     return {};
-  if (Threads == 0) {
-    Threads = std::thread::hardware_concurrency();
-    if (Threads == 0)
-      Threads = 1;
-  }
-  if (Threads > Jobs.size())
-    Threads = static_cast<unsigned>(Jobs.size());
-
-  // Serial runs stay inline on the calling thread (no pool, no spawn) —
-  // the historical contract profilers and debuggers rely on.
-  if (Threads <= 1) {
-    std::vector<BatchResult> Results;
-    Results.reserve(Jobs.size());
-    for (BatchJob &Job : Jobs) {
-      auto Comp = std::make_unique<CompilerContext>(Job.Options);
-      Results.push_back(runBatchJob(std::move(Job), std::move(Comp)));
-    }
-    return Results;
-  }
-
-  // The parallel batch contract rides on the service: cold isolated
-  // contexts, each handed to its result.
+  if (Threads == 0)
+    Threads = std::max(1u, std::thread::hardware_concurrency());
   ServiceConfig Cfg;
-  Cfg.Threads = Threads;
+  Cfg.Threads = static_cast<unsigned>(std::min<size_t>(Threads, Jobs.size()));
   Cfg.WarmContexts = false;
-  Cfg.SharePages = false;
-  Cfg.KeepContexts = true;
+  Cfg.Cache.Enabled = false;
   CompileService Service(Cfg);
   for (BatchJob &Job : Jobs)
     Service.enqueue(std::move(Job));

@@ -8,11 +8,17 @@
 /// parallel because every run owns its CompilerContext (trees, symbols,
 /// interner), so no compiler state is shared between workers.
 ///
-/// compileBatch() is nowadays a thin convenience over the CompileService
-/// (see CompileService.h): it spins up a service in cold-context,
-/// keep-context mode, enqueues every job, and drains — which preserves
-/// the historical contract exactly (isolated contexts, results in job
-/// order, bit-identical to a serial run).
+/// A BatchResult is context-free: it carries the rendered output of a
+/// run (status, diagnostics, optional tree dump, timings, heap stats),
+/// never the context or its trees. The context is always owned by
+/// whoever calls runBatchJob — the CompileService recycles or discards
+/// it, and callers that need live trees (to execute them, or to read
+/// check failures) call compileProgram on a context of their own.
+///
+/// compileBatch() is a thin convenience over the CompileService (see
+/// CompileService.h): it runs a service with cold contexts and no
+/// artifact cache, enqueues every job, and drains — results come back in
+/// job order and are byte-identical to a serial run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +27,6 @@
 
 #include "driver/Driver.h"
 #include "support/Fingerprint.h"
-
-#include <memory>
 
 namespace mpc {
 
@@ -105,14 +109,10 @@ Fingerprint fingerprintSource(const SourceInput &Source);
 /// fails the build when a new field is added unaudited.
 JobKey jobKeyFor(const BatchJob &Job);
 
-/// The outcome of one job. The context is returned alongside the output
-/// because the lowered trees it contains live in the context's heap —
-/// except when the compile service recycles contexts, in which case
-/// Comp is null and Out carries no context-owned data (see
-/// ServiceConfig::KeepContexts).
+/// The outcome of one job: context-free data only, so a result can
+/// outlive (or never have had) the context that produced it. This is
+/// also exactly what the ArtifactCache stores and replays.
 struct BatchResult {
-  std::unique_ptr<CompilerContext> Comp;
-  CompileOutput Out;
   JobStatus Status = JobStatus::Ok;
   bool HadErrors = false;
   std::string DiagText; // rendered diagnostics when HadErrors
@@ -121,28 +121,31 @@ struct BatchResult {
   /// (before any teardown), so warm/cold and serial/parallel runs are
   /// comparable field by field.
   HeapStats Heap;
+  /// Per-stage compile times; QueueWaitSec is set by the service.
+  CompileTimings Timings;
   /// Order this job was taken off the service queue (0-based, service
   /// lifetime scope) — makes the priority-lane schedule observable to
   /// tests. Stays 0 for jobs that never reached a worker (rejected/shed).
   uint64_t DequeueSeq = 0;
 };
 
-/// Compiles one job in \p Comp, snapshotting diagnostics, heap stats,
-/// and (when requested) tree dumps into the result. The shared per-job
-/// core of compileBatch's serial path and the CompileService workers.
+/// Compiles one job in \p Comp, a context owned by the caller, and
+/// snapshots diagnostics, heap stats, timings and (when requested) tree
+/// dumps into the result. The compile output, and with it every tree,
+/// dies before this returns, so the caller may recycle \p Comp at once.
 ///
 /// This is also the fault boundary: a DeadlineExceeded unwind (the job's
 /// DeadlineSec, armed here as a stack-local CancelToken) or any other
 /// exception escaping the compile is caught and folded into the result's
-/// Status — the context is always returned inside the result, never lost
-/// to the unwind.
-BatchResult runBatchJob(BatchJob Job, std::unique_ptr<CompilerContext> Comp);
+/// Status. The caller decides from that Status whether \p Comp is still
+/// fit for reuse.
+BatchResult runBatchJob(BatchJob Job, CompilerContext &Comp);
 
 /// Compiles all \p Jobs using up to \p Threads workers (0 = hardware
-/// concurrency). Results are returned in job order regardless of worker
-/// scheduling; each result is produced by an isolated CompilerContext, so
-/// outputs are bit-identical to a serial run. With one thread (or one
-/// job) the compile runs inline on the calling thread, as it always has.
+/// concurrency) on a CompileService with cold contexts and no artifact
+/// cache. Results are returned in job order regardless of worker
+/// scheduling; each job runs in its own fresh CompilerContext, so outputs
+/// are byte-identical to a serial run.
 std::vector<BatchResult> compileBatch(std::vector<BatchJob> Jobs,
                                       unsigned Threads = 0);
 

@@ -2,7 +2,7 @@
 
 #include "support/Timer.h"
 
-#include <cassert>
+#include <map>
 
 using namespace mpc;
 
@@ -45,30 +45,61 @@ size_t ContextPool::size() const {
 }
 
 //===----------------------------------------------------------------------===//
+// ReorderBuffer
+//===----------------------------------------------------------------------===//
+
+/// The default sink. Results arrive in completion order and are parked
+/// by id; drain() takes them out in id order. Every id below ReadyEnd
+/// has arrived, so a complete prefix is visible without a scan.
+class CompileService::ReorderBuffer {
+public:
+  void put(uint64_t Id, BatchResult R) {
+    std::lock_guard<std::mutex> Lock(M);
+    Parked.emplace(Id, std::move(R));
+    while (Parked.count(ReadyEnd))
+      ++ReadyEnd;
+  }
+
+  /// One past the longest run of arrived ids starting at the first id
+  /// not yet taken.
+  uint64_t readyEnd() const {
+    std::lock_guard<std::mutex> Lock(M);
+    return ReadyEnd;
+  }
+
+  /// Moves out every parked result with id below \p End, in id order.
+  /// Precondition: End <= readyEnd().
+  std::vector<BatchResult> take(uint64_t End) {
+    std::lock_guard<std::mutex> Lock(M);
+    std::vector<BatchResult> Out;
+    for (auto It = Parked.begin(); It != Parked.end() && It->first < End;
+         It = Parked.erase(It))
+      Out.push_back(std::move(It->second));
+    return Out;
+  }
+
+private:
+  mutable std::mutex M;
+  std::map<uint64_t, BatchResult> Parked;
+  uint64_t ReadyEnd = 0;
+};
+
+//===----------------------------------------------------------------------===//
 // CompileService
 //===----------------------------------------------------------------------===//
 
 CompileService::CompileService(ServiceConfig Config)
-    : Cfg(Config),
-      OwnPages(Cfg.SharePages && !Cfg.KeepContexts && !Cfg.ExternalPages
-                   ? std::make_unique<PagePool>(Cfg.PagePoolCfg)
-                   : nullptr),
-      // A context that escapes to the caller (KeepContexts) must own its
-      // pages outright, so page sharing is service-internal only.
-      Pages(Cfg.KeepContexts ? nullptr
-            : Cfg.SharePages ? (Cfg.ExternalPages ? Cfg.ExternalPages
-                                                  : OwnPages.get())
-                             : nullptr),
-      // KeepContexts forces the cache off: a replayed hit carries no
-      // context, which that contract hands to the caller.
-      Cache(Cfg.Cache.Enabled && !Cfg.KeepContexts
-                ? std::make_unique<ArtifactCache>(Cfg.Cache)
-                : nullptr),
-      Contexts(Pages), StartedAt(std::chrono::steady_clock::now()) {
-  // A streamed result is stripped of its context, which KeepContexts
-  // promises to hand over — the two modes cannot compose.
-  assert(!(Cfg.OnResult && Cfg.KeepContexts) &&
-         "OnResult delivery is incompatible with KeepContexts");
+    : Cfg(std::move(Config)),
+      Pages(Cfg.WarmContexts ? std::make_unique<PagePool>() : nullptr),
+      Cache(Cfg.Cache.Enabled ? std::make_unique<ArtifactCache>(Cfg.Cache)
+                              : nullptr),
+      Contexts(Pages.get()), StartedAt(std::chrono::steady_clock::now()) {
+  if (!Cfg.OnResult) {
+    InOrder = std::make_unique<ReorderBuffer>();
+    Cfg.OnResult = [Buf = InOrder.get()](uint64_t Id, BatchResult R) {
+      Buf->put(Id, std::move(R));
+    };
+  }
   unsigned N = Cfg.Threads;
   if (N == 0) {
     N = std::thread::hardware_concurrency();
@@ -103,33 +134,43 @@ void CompileService::stop() {
       W.join();
 }
 
-void CompileService::completeRejectedLocked(
-    uint64_t Id, double QueueWaitSec, const char *Why,
-    std::vector<PendingReject> &Deferred) {
+void CompileService::complete(uint64_t Id, BatchResult R) {
+  Cfg.OnResult(Id, std::move(R));
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    ++CompletedJobs;
+  }
+  DoneCv.notify_all();
+}
+
+namespace {
+
+/// The result of a job that never reached the compiler.
+BatchResult refusedResult(JobStatus Status, const char *Why,
+                          double QueueWaitSec) {
   BatchResult R;
-  R.Status = JobStatus::Rejected;
+  R.Status = Status;
   R.HadErrors = true;
   R.DiagText = std::string("error: ") + Why + "\n";
-  R.Out.Timings.QueueWaitSec = QueueWaitSec;
-  if (Cfg.OnResult) {
-    // Streaming mode: no drain-window slot exists; the caller fires the
-    // callback once M is released (user code never runs under the lock).
-    Deferred.push_back(PendingReject{Id, std::move(R)});
-  } else {
-    Done[Id - DrainedUpTo] = std::make_unique<BatchResult>(std::move(R));
-  }
-  ++CompletedJobs;
+  R.Timings.QueueWaitSec = QueueWaitSec;
+  return R;
 }
+
+double secondsSince(std::chrono::steady_clock::time_point T) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - T)
+      .count();
+}
+
+} // namespace
 
 AdmitResult CompileService::tryEnqueue(BatchJob Job) {
   AdmitResult A;
-  bool NotifyDone = false;
-  bool Refused = false;
-  std::vector<PendingReject> Deferred;
+  // Jobs displaced by ShedOldest; completed once M is released.
+  std::vector<QueuedJob> Shed;
   {
     std::unique_lock<std::mutex> Lock(M);
     if (Stopping)
-      return A; // refused: no id, no slot, no result owed
+      return A; // refused: no id, no result owed
     if (Cfg.MaxQueueDepth != 0 && queueDepthLocked() >= Cfg.MaxQueueDepth) {
       switch (Cfg.Policy) {
       case QueuePolicy::Block:
@@ -139,49 +180,29 @@ AdmitResult CompileService::tryEnqueue(BatchJob Job) {
         if (Stopping)
           return A;
         break;
-      case QueuePolicy::RejectNewest: {
-        // The arrival is refused but still owns a slot: its Rejected
-        // result completes immediately, keeping drain() in-order with no
-        // gaps in the id sequence.
+      case QueuePolicy::RejectNewest:
+        // The arrival is refused but still owns an id: its Rejected
+        // result completes below, so the id sequence has no gaps.
         ++JobsRejected;
         A.Id = NextJobId++;
-        if (!Cfg.OnResult)
-          Done.emplace_back();
-        completeRejectedLocked(A.Id, 0, "compile job rejected: queue full",
-                               Deferred);
-        NotifyDone = true;
-        Refused = true;
         break;
-      }
-      case QueuePolicy::ShedOldest: {
+      case QueuePolicy::ShedOldest:
         // Make room by completing the oldest queued job as Rejected —
         // batch lane first, so interactive work is the last to be shed.
-        // The shed victim's slot was reserved at its own admission;
-        // filling it preserves in-order delivery.
-        auto Now = std::chrono::steady_clock::now();
         while (queueDepthLocked() >= Cfg.MaxQueueDepth) {
           std::deque<QueuedJob> &Lane =
               !BatchLane.empty() ? BatchLane : InteractiveLane;
-          QueuedJob Victim = std::move(Lane.front());
+          Shed.push_back(std::move(Lane.front()));
           Lane.pop_front();
-          ++JobsShed;
-          ++A.JobsShed;
-          completeRejectedLocked(
-              Victim.Id,
-              std::chrono::duration<double>(Now - Victim.EnqueuedAt).count(),
-              "compile job shed: queue full, displaced by a newer job",
-              Deferred);
         }
-        NotifyDone = true;
+        JobsShed += Shed.size();
+        A.JobsShed = Shed.size();
         break;
       }
-      }
     }
-    if (!Refused) {
+    if (A.Id == InvalidJobId) {
       A.Id = NextJobId++;
       A.Accepted = true;
-      if (!Cfg.OnResult)
-        Done.emplace_back(); // result slot; filled by whichever worker runs it
       std::deque<QueuedJob> &Lane =
           Job.Priority == JobPriority::Interactive ? InteractiveLane
                                                    : BatchLane;
@@ -191,13 +212,17 @@ AdmitResult CompileService::tryEnqueue(BatchJob Job) {
         QueueDepthPeak = queueDepthLocked();
     }
   }
-  // Streaming mode: deliver refusals now that M is released.
-  for (PendingReject &P : Deferred)
-    Cfg.OnResult(P.Id, std::move(P.R));
   if (A.Accepted)
     QueueCv.notify_one();
-  if (NotifyDone)
-    DoneCv.notify_all();
+  else
+    complete(A.Id, refusedResult(JobStatus::Rejected,
+                                 "compile job rejected: queue full", 0));
+  for (QueuedJob &Victim : Shed)
+    complete(Victim.Id,
+             refusedResult(
+                 JobStatus::Rejected,
+                 "compile job shed: queue full, displaced by a newer job",
+                 secondsSince(Victim.EnqueuedAt)));
   return A;
 }
 
@@ -237,24 +262,20 @@ void CompileService::workerMain(unsigned WorkerIdx) {
       Id = QJ.Id;
       Job = std::move(QJ.Job);
       Seq = DequeueCounter++;
-      QueueWait = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - QJ.EnqueuedAt)
-                      .count();
+      QueueWait = secondsSince(QJ.EnqueuedAt);
     }
     // A slot opened up for a Block-policy producer.
     SpaceCv.notify_one();
 
-    std::unique_ptr<BatchResult> Result;
+    BatchResult Result;
     double Deadline = Job.DeadlineSec;
     if (Deadline > 0 && QueueWait >= Deadline) {
       // The deadline (measured from enqueue) expired while the job sat in
       // the queue: complete it without compiling — and without consulting
       // the cache, so an expired job's status never depends on what
       // happens to be cached.
-      Result = std::make_unique<BatchResult>();
-      Result->Status = JobStatus::DeadlineExceeded;
-      Result->HadErrors = true;
-      Result->DiagText = "error: job deadline exceeded while queued\n";
+      Result = refusedResult(JobStatus::DeadlineExceeded,
+                             "job deadline exceeded while queued", 0);
       Sheaf.add("service.jobsCompleted", 1);
       Sheaf.add("service.jobsDeadlineExceeded", 1);
     } else {
@@ -262,61 +283,15 @@ void CompileService::workerMain(unsigned WorkerIdx) {
       // deadline: queue wait counts against the job's total allowance.
       if (Deadline > 0)
         Job.DeadlineSec = Deadline - QueueWait;
-      Result = std::make_unique<BatchResult>(runJob(std::move(Job), Sheaf));
+      Result = runJob(std::move(Job), Sheaf);
     }
-    Result->DequeueSeq = Seq;
+    Result.DequeueSeq = Seq;
     // Per-request, even on a cache replay (the compile-stage timings are
     // the cached copy; the wait is this request's own).
-    Result->Out.Timings.QueueWaitSec = QueueWait;
-    if (Cfg.OnResult) {
-      // Streaming mode: hand the result over right now, on this worker
-      // thread, before counting it complete — so quiescence (drain(),
-      // stop()) implies the callback has run for every admitted job.
-      Cfg.OnResult(Id, std::move(*Result));
-      std::lock_guard<std::mutex> Lock(M);
-      ++CompletedJobs;
-    } else {
-      std::lock_guard<std::mutex> Lock(M);
-      // A job can only be drained after completing, so its slot is still
-      // inside the window even if other drains happened meanwhile. The
-      // slot was reserved at enqueue time — completion fills it in place
-      // and never grows the window under the lock.
-      Done[Id - DrainedUpTo] = std::move(Result);
-      ++CompletedJobs;
-    }
-    DoneCv.notify_all();
+    Result.Timings.QueueWaitSec = QueueWait;
+    complete(Id, std::move(Result));
   }
 }
-
-namespace {
-
-/// Rebuilds a service-mode BatchResult from a cached payload — exactly
-/// the shape the miss path leaves after stripping context-owned data, so
-/// replayed and compiled results are indistinguishable byte for byte.
-BatchResult replayArtifact(CachedArtifact Artifact) {
-  BatchResult R;
-  R.Out.Timings = Artifact.Timings;
-  R.Out.PlanErrors = std::move(Artifact.PlanErrors);
-  R.HadErrors = Artifact.HadErrors;
-  R.DiagText = std::move(Artifact.DiagText);
-  R.DumpText = std::move(Artifact.DumpText);
-  R.Heap = Artifact.Heap;
-  return R;
-}
-
-/// The replayable slice of a finished (already stripped) service result.
-CachedArtifact captureArtifact(const BatchResult &R) {
-  CachedArtifact Artifact;
-  Artifact.Timings = R.Out.Timings;
-  Artifact.PlanErrors = R.Out.PlanErrors;
-  Artifact.HadErrors = R.HadErrors;
-  Artifact.DiagText = R.DiagText;
-  Artifact.DumpText = R.DumpText;
-  Artifact.Heap = R.Heap;
-  return Artifact;
-}
-
-} // namespace
 
 BatchResult CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf) {
   Timer Busy;
@@ -326,33 +301,27 @@ BatchResult CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf) {
   JobKey Key;
   if (Cache) {
     Key = jobKeyFor(Job);
-    CachedArtifact Artifact;
-    if (Cache->lookup(Key, Artifact)) {
+    BatchResult Hit;
+    if (Cache->lookup(Key, Hit)) {
       Sheaf.add("service.jobsCompleted", 1);
       Sheaf.add("service.cacheHits", 1);
-      BatchResult R = replayArtifact(std::move(Artifact));
       Sheaf.add("service.busyMicros",
                 static_cast<uint64_t>(Busy.elapsedSeconds() * 1e6));
-      return R;
+      return Hit;
     }
     Sheaf.add("service.cacheMisses", 1);
   }
 
   bool Reused = false;
-  std::unique_ptr<CompilerContext> Comp;
-  if (Cfg.WarmContexts && !Cfg.KeepContexts) {
-    Comp = Contexts.acquire(Job.Options, Reused);
-  } else {
-    Comp = std::make_unique<CompilerContext>(Job.Options);
-    if (Pages)
-      Comp->heap().setPagePool(Pages);
-  }
-  const SlabAllocator::Stats &Backend0 = Comp->heap().backendStats();
-  uint64_t PagesFromPool0 = Backend0.PagesFromPool;
-  uint64_t PagesMapped0 = Backend0.PagesMapped;
-  uint64_t SystemCalls0 = Backend0.SystemCalls;
+  std::unique_ptr<CompilerContext> Comp =
+      Cfg.WarmContexts ? Contexts.acquire(Job.Options, Reused)
+                       : std::make_unique<CompilerContext>(Job.Options);
+  const SlabAllocator::Stats &Backend = Comp->heap().backendStats();
+  uint64_t PagesFromPool0 = Backend.PagesFromPool;
+  uint64_t PagesMapped0 = Backend.PagesMapped;
+  uint64_t SystemCalls0 = Backend.SystemCalls;
 
-  BatchResult R = runBatchJob(std::move(Job), std::move(Comp));
+  BatchResult R = runBatchJob(std::move(Job), *Comp);
 
   Sheaf.add("service.jobsCompleted", 1);
   if (Reused)
@@ -361,45 +330,31 @@ BatchResult CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf) {
     Sheaf.add("service.jobsDeadlineExceeded", 1);
   else if (R.Status == JobStatus::Faulted)
     Sheaf.add("service.jobsFaulted", 1);
-  const SlabAllocator::Stats &Backend = R.Comp->heap().backendStats();
   Sheaf.add("service.pagesShared", Backend.PagesFromPool - PagesFromPool0);
   Sheaf.add("service.pagesMapped", Backend.PagesMapped - PagesMapped0);
   Sheaf.add("service.realAllocs", Backend.SystemCalls - SystemCalls0);
+  // Fold the job's pipeline counters into the service aggregate.
+  Sheaf.merge(Comp->stats());
 
-  if (!Cfg.KeepContexts) {
-    // Everything context-owned must die before the shell is recycled:
-    // the units' trees live in the context heap, and the bytecode /
-    // entry points / check failures reference its symbols.
-    R.Out.Units.clear();
-    R.Out.Prog = Program();
-    R.Out.EntryPoints.clear();
-    R.Out.CheckFailures.clear();
-    // Fold the job's pipeline counters into the service aggregate (in
-    // KeepContexts mode the caller owns them via the context).
-    Sheaf.merge(R.Comp->stats());
-    if (R.Status == JobStatus::Faulted) {
-      // Fault containment: the exception's throw site is unknown (it may
-      // have split an allocation from its accounting), so the shell
-      // counts as poisoned. Destroying it frees its pages wholesale —
-      // through the shared pool when attached — without reset()'s
-      // clean-heap precondition; the pool simply builds a fresh shell
-      // next time. A DeadlineExceeded unwind, by contrast, only ever
-      // crosses RAII tree holders, so that shell recycles normally.
-      R.Comp.reset();
-      Sheaf.add("service.contextsDiscarded", 1);
-    } else if (Cfg.WarmContexts) {
-      Contexts.recycle(std::move(R.Comp));
-    } else {
-      R.Comp.reset();
-    }
-    // Install the stripped result for future hits — completed compiles
-    // only: a rejected/cancelled/faulted result describes this request's
-    // scheduling fate, not the job's content, and must never replay for
-    // an equal key. (Cache implies !KeepContexts, so the payload never
-    // references a context.)
-    if (Cache && R.Status == JobStatus::Ok)
-      Cache->insert(Key, captureArtifact(R));
+  if (R.Status == JobStatus::Faulted) {
+    // Fault containment: the exception's throw site is unknown (it may
+    // have split an allocation from its accounting), so the shell counts
+    // as poisoned. Destroying it frees its pages wholesale — through the
+    // shared pool when attached — without reset()'s clean-heap
+    // precondition; the pool simply builds a fresh shell next time. A
+    // DeadlineExceeded unwind, by contrast, only ever crosses RAII tree
+    // holders, so that shell recycles normally.
+    Comp.reset();
+    Sheaf.add("service.contextsDiscarded", 1);
+  } else if (Cfg.WarmContexts) {
+    Contexts.recycle(std::move(Comp));
   }
+  // Install a copy for future hits — completed compiles only: a
+  // rejected/cancelled/faulted result describes this request's
+  // scheduling fate, not the job's content, and must never replay for an
+  // equal key.
+  if (Cache && R.Status == JobStatus::Ok)
+    Cache->insert(Key, R);
 
   Sheaf.add("service.busyMicros",
             static_cast<uint64_t>(Busy.elapsedSeconds() * 1e6));
@@ -417,48 +372,32 @@ size_t CompileService::queuedJobs() const {
 }
 
 std::vector<BatchResult> CompileService::drain() {
-  std::vector<BatchResult> Results;
   uint64_t Target;
   uint64_t Rejected, Shed, DepthPeak;
   {
     std::unique_lock<std::mutex> Lock(M);
     Target = NextJobId;
-    if (Cfg.OnResult) {
-      // Streaming mode: results were handed to the callback as they
-      // completed; drain() degenerates to a quiescence barrier plus the
-      // stats merge below.
-      DoneCv.wait(Lock, [&] { return CompletedJobs >= Target; });
-      DrainedUpTo = Target;
-    } else {
-      // Completed slots never empty again, so a monotonic cursor checks
-      // each slot once across all wakeups — O(window) for the whole wait,
-      // not per notification.
-      uint64_t Scanned = DrainedUpTo;
-      DoneCv.wait(Lock, [&] {
-        while (Scanned < Target && Done[Scanned - DrainedUpTo])
-          ++Scanned;
-        return Scanned >= Target;
-      });
-      Results.reserve(Target - DrainedUpTo);
-      while (DrainedUpTo < Target) {
-        Results.push_back(std::move(*Done.front()));
-        Done.pop_front();
-        ++DrainedUpTo;
-      }
-    }
+    // The reorder-buffer clause only matters when enqueue() races this
+    // drain: a job admitted after Target was read may complete before an
+    // earlier one, so the count alone does not prove the prefix is in.
+    DoneCv.wait(Lock, [&] {
+      return CompletedJobs >= Target &&
+             (!InOrder || InOrder->readyEnd() >= Target);
+    });
     Rejected = JobsRejected;
     Shed = JobsShed;
     DepthPeak = QueueDepthPeak;
   }
+  std::vector<BatchResult> Results;
+  if (InOrder)
+    Results = InOrder->take(Target);
 
   // Merge the per-worker sheaves; each drain folds only the deltas since
   // the previous one, so the registry accumulates lifetime totals.
   for (auto &Sheaf : Sheaves)
     Sheaf->drainInto(Stats);
-  double WallSec = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - StartedAt)
-                       .count();
-  double Capacity = WallSec * static_cast<double>(Workers.size());
+  double Capacity =
+      secondsSince(StartedAt) * static_cast<double>(Workers.size());
   double BusySec = static_cast<double>(Stats.get("service.busyMicros")) / 1e6;
   Stats.counter("service.workerUtilization") =
       Capacity > 0 ? static_cast<uint64_t>(100.0 * BusySec / Capacity) : 0;

@@ -10,13 +10,11 @@
 ///      while the service is running) onto a mutex+condvar queue split
 ///      into two priority lanes (Interactive ahead of Batch, with an
 ///      anti-starvation burst cap); each worker dequeues ONE job at a
-///      time, so scheduling is load-balanced rather than sliced, and
-///      results are delivered in enqueue order at drain(). The queue is
-///      optionally bounded (ServiceConfig::MaxQueueDepth): arrivals at a
-///      full queue block, are rejected, or shed the oldest queued job
-///      (QueuePolicy), with refused jobs completing in the drain window
-///      as JobStatus::Rejected — overload degrades answers, never the
-///      in-order delivery contract.
+///      time, so scheduling is load-balanced rather than sliced. The
+///      queue is optionally bounded (ServiceConfig::MaxQueueDepth):
+///      arrivals at a full queue block, are rejected, or shed the oldest
+///      queued job (QueuePolicy), and refused jobs complete as
+///      JobStatus::Rejected — overload degrades answers, never delivery.
 ///
 ///   1b. Deadlines and fault containment. A job's soft deadline
 ///      (BatchJob::DeadlineSec, measured from enqueue) is enforced by
@@ -46,23 +44,23 @@
 ///   4. Content-addressed artifact cache. Each dequeued job derives its
 ///      JobKey (hash of sources + cache-relevant options + pipeline
 ///      kind, see driver/Batch.h) and consults the ArtifactCache first:
-///      a hit replays the stored result into the drain window without
-///      touching a context at all; a miss compiles and installs the
-///      replayable payload. Replay is byte-identical to a cache-disabled
-///      run (pinned by CompileServiceTest), counters surface as
+///      a hit replays the stored result without touching a context at
+///      all; a miss compiles and installs a copy of its result. Replay is
+///      byte-identical to a cache-disabled run (pinned by
+///      CompileServiceTest), counters surface as
 ///      service.cacheHits/cacheMisses/cacheBytes/cacheEvictions, and
-///      capacity is LRU-bounded by CacheConfig::MaxBytes. KeepContexts
-///      mode forces the cache off — a replayed hit has no context to
-///      hand to the caller.
+///      capacity is LRU-bounded by CacheConfig::MaxBytes.
 ///
-/// Context ownership has two modes. KeepContexts=true (what compileBatch
-/// uses) hands each result its context, exactly like the historical
-/// driver — contexts are then necessarily cold and unpooled, and no
-/// shared page pool is attached (the pool must not outlive into caller-
-/// owned contexts). KeepContexts=false is the service mode: the worker
-/// snapshots everything the caller may want (dumps, heap stats,
-/// diagnostics), strips the output of context-owned data, and returns
-/// the shell to the pool for the next job.
+/// One completion path. Every job — compiled, replayed, expired in the
+/// queue, refused or shed at admission — completes the same way: its
+/// context-free BatchResult goes to the sink (ServiceConfig::OnResult),
+/// called without the service lock held, and only after the sink returns
+/// does the job count as completed. drain() and stop() therefore never
+/// return while a sink call is still running. Without an OnResult the
+/// service installs a small reorder buffer as the sink, and drain()
+/// hands out its results in enqueue order. Contexts never leave the
+/// service: each is recycled, discarded, or destroyed by the worker that
+/// ran the job.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -124,17 +122,17 @@ enum class QueuePolicy : uint8_t {
   /// stops). The closed-loop default: producers self-throttle.
   Block,
   /// The arriving job is refused: it still gets an id and completes
-  /// immediately in the drain window with JobStatus::Rejected.
+  /// immediately with JobStatus::Rejected.
   RejectNewest,
   /// The arriving job is admitted and the oldest *queued* job is shed in
   /// its place (Batch lane first — interactive work is the last to go).
-  /// Shed jobs complete with JobStatus::Rejected in the drain window, so
-  /// in-order delivery is preserved under overload.
+  /// Shed jobs complete with JobStatus::Rejected, so every admitted job
+  /// still gets exactly one result under overload.
   ShedOldest,
 };
 
 /// Sentinel id returned by enqueue()/tryEnqueue() after stop(): the job
-/// was not admitted and owns no slot in the drain window.
+/// was not admitted and is owed no result.
 inline constexpr uint64_t InvalidJobId = ~uint64_t(0);
 
 /// What admission control decided about one tryEnqueue() call.
@@ -142,7 +140,7 @@ struct AdmitResult {
   uint64_t Id = InvalidJobId;
   /// False: the job was refused (queue full under RejectNewest, or the
   /// service is stopped). When Id != InvalidJobId the refusal still
-  /// delivers a Rejected result in the drain window.
+  /// delivers a Rejected result.
   bool Accepted = false;
   /// Queued jobs this admission displaced (ShedOldest only).
   uint64_t JobsShed = 0;
@@ -161,36 +159,26 @@ struct ServiceConfig {
   /// consecutive interactive dequeues while batch work waits, the next
   /// dequeue takes from the batch lane regardless.
   unsigned InteractiveBurst = 3;
-  /// Recycle CompilerContext shells between jobs via the ContextPool.
+  /// Warm contexts: recycle CompilerContext shells between jobs through
+  /// the ContextPool, with a service-owned PagePool shared by all shells
+  /// so slab pages mapped by one job serve the next. Off: every job gets
+  /// a fresh context with private pages (the cold baseline).
   bool WarmContexts = true;
-  /// Attach a shared PagePool so slab pages mapped by one job serve the
-  /// next, across contexts and workers.
-  bool SharePages = true;
-  /// Use this pool instead of a service-owned one (e.g.
-  /// &processPagePool() to share pages process-wide across services).
-  PagePool *ExternalPages = nullptr;
-  /// Sizing policy of the service-owned page pool (ignored when
-  /// ExternalPages is set — the external pool brings its own cap).
-  PagePoolConfig PagePoolCfg;
   /// Artifact-cache policy: consult-before-compile with LRU-bounded
-  /// storage. Forced off in KeepContexts mode (a cache hit produces no
-  /// context, which that contract requires).
+  /// storage.
   CacheConfig Cache;
-  /// Results keep their contexts (the historical compileBatch contract).
-  /// Forces cold, unpooled contexts with no shared pages — a context
-  /// that escapes to the caller must own its storage outright.
-  bool KeepContexts = false;
-  /// Streaming delivery (the network server's mode): when set, every
-  /// completed job — including rejected/shed ones — is handed to this
-  /// callback the moment it finishes, in *completion* order, instead of
-  /// being parked in the drain window. The callback runs on the
-  /// completing worker's thread (or the admitting thread for refusals),
-  /// never under the service lock, and must be thread-safe; it must not
-  /// call back into drain(). stop() returns only after the callback has
-  /// fired for every admitted job — the graceful-drain contract a server
-  /// builds on. drain() still merges stats (and waits for quiescence)
-  /// but returns no results in this mode. Incompatible with
-  /// KeepContexts.
+  /// The completion sink: every completed job — including rejected/shed
+  /// ones — is handed to this callback the moment it finishes, in
+  /// *completion* order. The callback runs on the completing worker's
+  /// thread (or the admitting thread for refusals), never under the
+  /// service lock, and must be thread-safe; it must not call back into
+  /// drain(). A job counts as completed only once its callback has
+  /// returned, so drain() waits for the callbacks of every job it covers
+  /// (refusals included), and stop() returns only after the workers'
+  /// callbacks for every admitted job — the graceful-drain contract a
+  /// server builds on. When set, drain() still merges stats but returns
+  /// no results. When unset, the service installs an in-order reorder
+  /// buffer here.
   std::function<void(uint64_t Id, BatchResult Result)> OnResult;
 };
 
@@ -212,7 +200,7 @@ public:
   /// and from multiple threads. Returns the job's id (== its position in
   /// the overall enqueue order). Convenience over tryEnqueue(): a job
   /// refused by admission control still returns its id (its Rejected
-  /// result arrives at drain); only after stop() does it return
+  /// result is still delivered); only after stop() does it return
   /// InvalidJobId, with no result owed.
   uint64_t enqueue(BatchJob Job);
 
@@ -222,11 +210,12 @@ public:
   /// fail cleanly). The destructor calls this.
   void stop();
 
-  /// Blocks until every job enqueued so far is complete and returns
-  /// their results in enqueue order (starting after the previous drain's
-  /// last job). Also merges the worker sheaves into stats() and refreshes
-  /// service.workerUtilization. Single consumer: call from one thread at
-  /// a time (enqueue() may race it freely).
+  /// Blocks until every job enqueued so far is complete (its sink call
+  /// has returned). Without an OnResult sink, returns their results in
+  /// enqueue order, starting after the previous drain's last job; with
+  /// one, returns nothing. Either way merges the worker sheaves into
+  /// stats() and refreshes service.workerUtilization. Single consumer:
+  /// call from one thread at a time (enqueue() may race it freely).
   std::vector<BatchResult> drain();
 
   /// Jobs enqueued but not yet completed by a worker (queued + running).
@@ -249,11 +238,10 @@ public:
   /// drain() calls.
   StatsRegistry &stats() { return Stats; }
 
-  /// The shared page pool in effect, or null.
-  PagePool *pagePool() { return Pages; }
+  /// The shared page pool (WarmContexts), or null.
+  PagePool *pagePool() { return Pages.get(); }
 
-  /// The artifact cache in effect, or null (cache disabled or
-  /// KeepContexts mode).
+  /// The artifact cache in effect, or null (cache disabled).
   ArtifactCache *artifactCache() { return Cache.get(); }
 
   unsigned threadCount() const {
@@ -274,38 +262,32 @@ private:
     std::chrono::steady_clock::time_point EnqueuedAt;
   };
 
+  /// The default sink: parks results by id for drain() (CompileService.cpp).
+  class ReorderBuffer;
+
   void workerMain(unsigned WorkerIdx);
   BatchResult runJob(BatchJob Job, StatsSheaf &Sheaf);
+  /// The one completion path: hands \p R to the sink, then counts the
+  /// job completed and wakes drain(). Caller must not hold M.
+  void complete(uint64_t Id, BatchResult R);
   /// Queue depth across both lanes. Caller holds M.
   size_t queueDepthLocked() const {
     return InteractiveLane.size() + BatchLane.size();
   }
-  /// A refusal result pending callback delivery (OnResult mode): built
-  /// under M, fired after M is released.
-  struct PendingReject {
-    uint64_t Id;
-    BatchResult R;
-  };
-  /// Completes \p Id with a Rejected result without it ever reaching a
-  /// worker: into the drain window, or (OnResult mode) onto \p Deferred
-  /// for the caller to deliver outside the lock. Caller holds M; caller
-  /// notifies DoneCv.
-  void completeRejectedLocked(uint64_t Id, double QueueWaitSec,
-                              const char *Why,
-                              std::vector<PendingReject> &Deferred);
 
   ServiceConfig Cfg;
+  /// Set when Cfg.OnResult was not supplied; Cfg.OnResult then feeds it.
+  std::unique_ptr<ReorderBuffer> InOrder;
   // Destruction order matters: workers join first (declared last), then
-  // the context pool drops its shells, then OwnPages frees pages the
-  // shells released into it.
-  std::unique_ptr<PagePool> OwnPages;
-  PagePool *Pages = nullptr;
+  // the context pool drops its shells, then Pages frees pages the shells
+  // released into it.
+  std::unique_ptr<PagePool> Pages;
   std::unique_ptr<ArtifactCache> Cache;
   ContextPool Contexts;
 
   mutable std::mutex M;
   std::condition_variable QueueCv; // workers: queue non-empty or stopping
-  std::condition_variable DoneCv;  // drain(): a job finished
+  std::condition_variable DoneCv;  // drain(): a job completed
   std::condition_variable SpaceCv; // Block-policy producers: a slot freed
   /// The admission queue, split by JobPriority. Workers prefer the
   /// interactive lane; SinceBatch enforces the InteractiveBurst cap so
@@ -314,15 +296,8 @@ private:
   std::deque<QueuedJob> BatchLane;
   unsigned SinceBatch = 0;     // interactive takes since the last batch take
   uint64_t DequeueCounter = 0; // BatchResult::DequeueSeq source
-  /// Result slots for the undrained id window [DrainedUpTo, NextJobId):
-  /// the slot is reserved by enqueue() (the window only ever grows
-  /// there), a completing worker fills Done[Id - DrainedUpTo] in place,
-  /// and drain() hands the completed prefix out and slides the window —
-  /// so the deque stays bounded by the in-flight job count on a
-  /// long-lived service and completion never grows it under the lock.
-  std::deque<std::unique_ptr<BatchResult>> Done;
   uint64_t NextJobId = 0;
-  uint64_t DrainedUpTo = 0;
+  /// Jobs whose sink call has returned.
   uint64_t CompletedJobs = 0;
   bool Stopping = false;
   // Admission counters (under M); published as gauges at drain().

@@ -10,8 +10,8 @@
 /// worker thread with a different CompilerContext. The pool owns every
 /// page it holds: an allocator that puts a page in transfers ownership,
 /// and takes ownership back when it takes one out, so contexts can come
-/// and go while the pool (owned by the CompileService, or the process-wide
-/// instance from processPagePool()) keeps the memory alive.
+/// and go while the pool (owned by the CompileService) keeps the memory
+/// alive.
 ///
 /// Inventory is bounded: PagePoolConfig::MaxPages caps how many pages the
 /// pool keeps; a put() beyond the cap frees the page back to the system
@@ -116,12 +116,6 @@ private:
   uint64_t NumTaken = 0;
   uint64_t NumTrimmed = 0;
 };
-
-/// The optional process-wide pool: every CompileService (and any direct
-/// SlabAllocator user) that opts in shares one page inventory, so pages
-/// survive service teardown and prime the next service. Constructed on
-/// first use; intentionally leaked at exit (pages outlive any user).
-PagePool &processPagePool();
 
 } // namespace mpc
 

@@ -13,7 +13,6 @@ using namespace mpc::net;
 
 CompileServer::CompileServer(ServerConfig Config) : Cfg(std::move(Config)) {
   // The server owns result delivery; the service must stream, not park.
-  Cfg.Service.KeepContexts = false;
   Cfg.Service.OnResult = [this](uint64_t Id, BatchResult R) {
     deliverResult(Id, std::move(R));
   };
@@ -332,7 +331,7 @@ void CompileServer::respond(const std::shared_ptr<Connection> &Conn,
     break; // handled above
   }
   Resp.HadErrors = R.HadErrors;
-  const CompileTimings &T = R.Out.Timings;
+  const CompileTimings &T = R.Timings;
   Resp.QueueWaitMicros = static_cast<uint64_t>(T.QueueWaitSec * 1e6);
   Resp.FrontendMicros = static_cast<uint64_t>(T.FrontendSec * 1e6);
   Resp.TransformMicros = static_cast<uint64_t>(T.TransformSec * 1e6);

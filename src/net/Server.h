@@ -59,8 +59,8 @@ namespace net {
 struct ServerConfig {
   /// TCP port on 127.0.0.1; 0 = ephemeral (read back via port()).
   uint16_t Port = 0;
-  /// The wrapped compile service. KeepContexts must stay false and
-  /// OnResult unset (the server installs its own).
+  /// The wrapped compile service. OnResult must stay unset (the server
+  /// installs its own).
   ServiceConfig Service;
   /// Wire-format caps handed to every connection's FrameReader.
   Limits Lim;

@@ -77,8 +77,6 @@ TEST(JobKey, EveryCacheRelevantOptionFlipsTheKey) {
             Base);
   EXPECT_NE(WithOptions([](CompilerOptions &O) { O.SubtreePruning = false; }),
             Base);
-  EXPECT_NE(WithOptions([](CompilerOptions &O) { O.DagMemoize = true; }),
-            Base);
   EXPECT_NE(
       WithOptions([](CompilerOptions &O) { O.Strategy = FusionStrategy::Naive; }),
       Base);
@@ -127,7 +125,6 @@ TEST(ArtifactCache, InsertLookupRoundtrip) {
   ArtifactCache Cache;
   CachedArtifact In = artifactOf("dump-a");
   In.Timings.FrontendSec = 0.5;
-  In.PlanErrors.push_back("plan oops");
   Cache.insert(keyOf(1), In);
 
   CachedArtifact Out;
@@ -137,8 +134,6 @@ TEST(ArtifactCache, InsertLookupRoundtrip) {
   EXPECT_FALSE(Out.HadErrors);
   EXPECT_EQ(Out.Heap.AllocatedBytes, In.Heap.AllocatedBytes);
   EXPECT_DOUBLE_EQ(Out.Timings.FrontendSec, 0.5);
-  ASSERT_EQ(Out.PlanErrors.size(), 1u);
-  EXPECT_EQ(Out.PlanErrors[0], "plan oops");
 
   CachedArtifact Absent;
   EXPECT_FALSE(Cache.lookup(keyOf(2), Absent));

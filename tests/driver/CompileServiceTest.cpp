@@ -31,9 +31,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <thread>
 
 using namespace mpc;
 
@@ -75,17 +77,10 @@ void expectSameHeap(const HeapStats &A, const HeapStats &B,
   EXPECT_EQ(A.PeakLiveBytes, B.PeakLiveBytes) << Label;
 }
 
-/// The reference: one cold context per job, no service, no pooling —
-/// exactly what a serial compileBatch run used to do.
+/// The reference: a serial compileBatch — one cold context per job, no
+/// pooling, no shared pages, no cache.
 std::vector<BatchResult> serialColdBaseline(std::vector<BatchJob> Jobs) {
-  ServiceConfig Cfg;
-  Cfg.Threads = 1;
-  Cfg.WarmContexts = false;
-  Cfg.SharePages = false;
-  CompileService Service(Cfg);
-  for (BatchJob &J : Jobs)
-    Service.enqueue(std::move(J));
-  return Service.drain();
+  return compileBatch(std::move(Jobs), 1);
 }
 
 TEST(CompileService, WarmSharedServiceMatchesSerialColdAtEveryThreadCount) {
@@ -94,7 +89,6 @@ TEST(CompileService, WarmSharedServiceMatchesSerialColdAtEveryThreadCount) {
     ServiceConfig Cfg;
     Cfg.Threads = Threads;
     Cfg.WarmContexts = true;
-    Cfg.SharePages = true;
     CompileService Service(Cfg);
     std::vector<BatchJob> Jobs = serviceJobs();
     for (BatchJob &J : Jobs)
@@ -110,8 +104,6 @@ TEST(CompileService, WarmSharedServiceMatchesSerialColdAtEveryThreadCount) {
       EXPECT_FALSE(Results[I].DumpText.empty()) << Label;
       EXPECT_EQ(Results[I].DumpText, Baseline[I].DumpText) << Label;
       expectSameHeap(Results[I].Heap, Baseline[I].Heap, Label);
-      // Service mode: contexts were recycled, not returned.
-      EXPECT_EQ(Results[I].Comp, nullptr) << Label;
     }
     EXPECT_EQ(Service.stats().get("service.jobsCompleted"), Jobs.size());
   }
@@ -214,15 +206,7 @@ TEST(CompileService, CacheHitDrainIsByteIdenticalToCacheDisabledRun) {
   // indistinguishable from compiled ones. Baseline = cache-disabled
   // serial service; cached services enqueue the same jobs TWICE, so the
   // second drain is served entirely from the cache.
-  ServiceConfig BaseCfg;
-  BaseCfg.Threads = 1;
-  BaseCfg.WarmContexts = false;
-  BaseCfg.SharePages = false;
-  BaseCfg.Cache.Enabled = false;
-  CompileService Baseline(BaseCfg);
-  for (BatchJob &J : serviceJobs())
-    Baseline.enqueue(std::move(J));
-  std::vector<BatchResult> Expected = Baseline.drain();
+  std::vector<BatchResult> Expected = serialColdBaseline(serviceJobs());
 
   for (unsigned Threads : {1u, 4u, 8u}) {
     ServiceConfig Cfg;
@@ -242,7 +226,6 @@ TEST(CompileService, CacheHitDrainIsByteIdenticalToCacheDisabledRun) {
         EXPECT_EQ(Results[I].DiagText, Expected[I].DiagText) << Label;
         EXPECT_EQ(Results[I].HadErrors, Expected[I].HadErrors) << Label;
         expectSameHeap(Results[I].Heap, Expected[I].Heap, Label);
-        EXPECT_EQ(Results[I].Comp, nullptr) << Label;
       }
     }
     // Round 1 all missed, round 2 all hit.
@@ -390,15 +373,7 @@ TEST(CompileService, ErrorRecoveryOnRecycledContextsMatchesCold) {
     return Jobs;
   };
 
-  ServiceConfig ColdCfg;
-  ColdCfg.Threads = 1;
-  ColdCfg.WarmContexts = false;
-  ColdCfg.SharePages = false;
-  ColdCfg.Cache.Enabled = false;
-  CompileService Cold(ColdCfg);
-  for (BatchJob &J : MixedJobs())
-    Cold.enqueue(std::move(J));
-  std::vector<BatchResult> Expected = Cold.drain();
+  std::vector<BatchResult> Expected = serialColdBaseline(MixedJobs());
   // Sanity: the mix really contains failures and successes.
   EXPECT_FALSE(Expected[0].HadErrors);
   EXPECT_TRUE(Expected[1].HadErrors);
@@ -577,6 +552,71 @@ TEST(CompileService, OnResultDeliversRefusalsImmediately) {
   ASSERT_EQ(Sink.Results.size(), 3u);
   EXPECT_EQ(Sink.Results[A.Id].Status, JobStatus::Ok);
   EXPECT_EQ(Sink.Results[B.Id].Status, JobStatus::Ok);
+}
+
+TEST(CompileService, DrainWaitsForRefusalCallback) {
+  // Regression: a refused job used to count as completed before its
+  // callback ran, so drain() could return while the callback for a
+  // RejectNewest refusal was still running on the admitting thread.
+  // Setup as above (A running behind the gate, B queued, C refused), with
+  // a callback that lingers on the Rejected result.
+  std::mutex GateM;
+  std::condition_variable GateCv;
+  bool Open = false;
+  std::atomic<unsigned> Arrived{0};
+  FaultConfig FC;
+  FC.StageHook = [&](FaultSite Site) {
+    if (Site != FaultSite::FrontendEntry)
+      return;
+    std::unique_lock<std::mutex> L(GateM);
+    ++Arrived;
+    GateCv.notify_all();
+    GateCv.wait(L, [&] { return Open; });
+  };
+  ScopedFaultInjector Injector(FC);
+
+  std::atomic<bool> InRefusal{false};
+  std::atomic<bool> RefusalDone{false};
+  ServiceConfig Cfg;
+  Cfg.Threads = 1;
+  Cfg.MaxQueueDepth = 1;
+  Cfg.Policy = QueuePolicy::RejectNewest;
+  Cfg.OnResult = [&](uint64_t, BatchResult R) {
+    if (R.Status != JobStatus::Rejected)
+      return;
+    InRefusal = true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    RefusalDone = true;
+  };
+  CompileService Service(Cfg);
+
+  auto TinyJob = [] {
+    BatchJob J;
+    J.Sources.push_back({"ok.scala", corpusPrograms()[0].Source});
+    return J;
+  };
+  ASSERT_TRUE(Service.tryEnqueue(TinyJob()).Accepted);
+  {
+    std::unique_lock<std::mutex> L(GateM);
+    GateCv.wait(L, [&] { return Arrived.load() >= 1; });
+  }
+  ASSERT_TRUE(Service.tryEnqueue(TinyJob()).Accepted);
+  std::thread Producer([&] {
+    AdmitResult C = Service.tryEnqueue(TinyJob());
+    EXPECT_FALSE(C.Accepted);
+  });
+  while (!InRefusal)
+    std::this_thread::yield();
+  {
+    std::lock_guard<std::mutex> L(GateM);
+    Open = true;
+  }
+  GateCv.notify_all();
+  // A and B finish quickly; C's callback is still asleep. drain() must
+  // wait for it.
+  Service.drain();
+  EXPECT_TRUE(RefusalDone) << "drain() returned before a callback finished";
+  Producer.join();
 }
 
 TEST(CompileService, OnResultModeDrainReturnsNothingButMergesStats) {

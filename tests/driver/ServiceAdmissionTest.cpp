@@ -83,7 +83,6 @@ BatchResult serialReference(BatchJob Job) {
   ServiceConfig Cfg;
   Cfg.Threads = 1;
   Cfg.WarmContexts = false;
-  Cfg.SharePages = false;
   Cfg.Cache.Enabled = false;
   CompileService Service(Cfg);
   Service.enqueue(std::move(Job));
@@ -334,7 +333,7 @@ TEST(ServiceAdmission, DeadlineExpiredInQueueCompletesWithoutCompiling) {
   EXPECT_EQ(Results[1].Status, JobStatus::DeadlineExceeded);
   EXPECT_TRUE(Results[1].HadErrors);
   EXPECT_NE(Results[1].DiagText.find("deadline"), std::string::npos);
-  EXPECT_GE(Results[1].Out.Timings.QueueWaitSec, 0.001);
+  EXPECT_GE(Results[1].Timings.QueueWaitSec, 0.001);
   EXPECT_EQ(Service.stats().get("service.jobsDeadlineExceeded"), 1u);
 }
 

@@ -38,7 +38,6 @@ std::vector<BatchResult> serialCold(std::vector<BatchJob> Jobs) {
   ServiceConfig Cfg;
   Cfg.Threads = 1;
   Cfg.WarmContexts = false;
-  Cfg.SharePages = false;
   Cfg.Cache.Enabled = false;
   CompileService Service(Cfg);
   for (BatchJob &J : Jobs)
@@ -206,29 +205,26 @@ TEST(ServiceFault, PoolTakeMissesForceFreshMappingsHarmlessly) {
   EXPECT_EQ(Service.stats().get("service.jobsFaulted"), 0u);
 }
 
-TEST(ServiceFault, FaultedJobInKeepContextsModeStillReturnsItsContext) {
-  // The firewall lives in runBatchJob, so the historical compileBatch
-  // contract benefits too: a faulted job hands back a (marked) context
-  // instead of losing it to the unwind.
+TEST(ServiceFault, FaultedJobLeavesCallerOwnedContextIntact) {
+  // The firewall lives in runBatchJob, which compiles in a context the
+  // caller owns, so a fault can never lose the context. What it must
+  // still guarantee: the job becomes a Faulted result, and the deadline
+  // token armed on runBatchJob's own frame is detached before it returns.
   FaultConfig FC;
   FC.Seed = 5;
-  FC.StageThrowRate = 1.0; // every stage arrival throws: job 1 faults
+  FC.StageThrowRate = 1.0; // every stage arrival throws
   ScopedFaultInjector Injector(FC);
 
-  ServiceConfig Cfg;
-  Cfg.Threads = 1;
-  Cfg.KeepContexts = true;
-  Cfg.WarmContexts = false;
-  Cfg.SharePages = false;
-  CompileService Service(Cfg);
   BatchJob J;
   J.Sources.push_back({"a.scala", corpusPrograms()[0].Source});
-  Service.enqueue(std::move(J));
-  std::vector<BatchResult> Results = Service.drain();
-  ASSERT_EQ(Results.size(), 1u);
-  EXPECT_EQ(Results[0].Status, JobStatus::Faulted);
-  EXPECT_TRUE(Results[0].HadErrors);
-  ASSERT_NE(Results[0].Comp, nullptr);
+  J.WantDump = true;
+  J.DeadlineSec = 60;
+  CompilerContext Comp;
+  BatchResult R = runBatchJob(std::move(J), Comp);
+  EXPECT_EQ(R.Status, JobStatus::Faulted);
+  EXPECT_TRUE(R.HadErrors);
+  EXPECT_TRUE(R.DumpText.empty());
+  EXPECT_EQ(Comp.cancelToken(), nullptr);
 }
 
 } // namespace
