@@ -2,8 +2,9 @@
 
 #include "support/FaultInjector.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <poll.h>
 #include <sys/socket.h>
@@ -22,13 +23,15 @@ CompileServer::CompileServer(ServerConfig Config) : Cfg(std::move(Config)) {
 CompileServer::~CompileServer() {
   requestDrain();
   waitDrained();
-  if (Drainer.joinable())
-    Drainer.join();
-  if (Acceptor.joinable())
-    Acceptor.join();
 }
 
 bool CompileServer::start(std::string &Err) {
+  if (Cfg.Service.Policy == QueuePolicy::Block &&
+      Cfg.Service.MaxQueueDepth > 0) {
+    Err = "QueuePolicy::Block with a bounded queue would stall the event "
+          "loop; use RejectNewest or ShedOldest";
+    return false;
+  }
   uint16_t Port = Cfg.Port;
   Listener = listenTcp(Port, Err);
   if (!Listener.valid())
@@ -43,153 +46,229 @@ bool CompileServer::start(std::string &Err) {
   WakeRead = Socket(SV[0]);
   WakeWrite = Socket(SV[1]);
 
-  Started.store(true, std::memory_order_release);
-  Acceptor = std::thread([this] { acceptLoop(); });
+  Started = true;
+  Reactor = std::thread([this] { reactorLoop(); });
   return true;
 }
 
-void CompileServer::acceptLoop() {
-  while (!Draining.load(std::memory_order_acquire)) {
-    pollfd FDs[2] = {{Listener.fd(), POLLIN, 0}, {WakeRead.fd(), POLLIN, 0}};
-    int RC = ::poll(FDs, 2, -1);
-    if (RC < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (FDs[1].revents)
-      break; // drain wake-up
-    if (!(FDs[0].revents & POLLIN))
-      continue;
-    Socket NS = acceptConn(Listener.fd());
-    if (!NS.valid())
-      continue;
-    if (Draining.load(std::memory_order_acquire))
-      break; // NS closes via RAII — we are no longer accepting work
-    S.ConnectionsAccepted.fetch_add(1, std::memory_order_relaxed);
-    auto Conn = std::make_shared<Connection>();
-    Conn->Sock = std::move(NS);
-    {
-      std::lock_guard<std::mutex> Lock(ConnsM);
-      Conn->ConnId = NextConnId++;
-      Conns.emplace(Conn->ConnId, Conn);
-    }
-    {
-      std::lock_guard<std::mutex> Lock(ReadersM);
-      ++ActiveReaders;
-    }
-    // Detached: a reader cannot join itself when the peer hangs up, so
-    // drain synchronizes on ActiveReaders instead of thread handles.
-    std::thread([this, Conn] {
-      connectionLoop(Conn);
-      readerExit();
-    }).detach();
+void CompileServer::wake() {
+  uint8_t B = 1;
+  // Never blocks: a full wake buffer already guarantees a wake-up.
+  (void)::send(WakeWrite.fd(), &B, 1, MSG_NOSIGNAL | MSG_DONTWAIT);
+}
+
+void CompileServer::deliverResult(uint64_t JobId, BatchResult R) {
+  bool WasEmpty = false;
+  {
+    std::lock_guard<std::mutex> Lock(InboxM);
+    WasEmpty = Inbox.empty();
+    Inbox.emplace_back(JobId, std::move(R));
   }
+  // One byte per empty-to-nonempty edge: the reactor drains the wake
+  // socket before it swaps the whole inbox out, so no result is missed.
+  if (WasEmpty)
+    wake();
 }
 
-void CompileServer::readerExit() {
-  std::lock_guard<std::mutex> Lock(ReadersM);
-  --ActiveReaders;
-  // Notify under the lock: the destructor may tear the condvar down the
-  // instant the waiter sees zero.
-  ReadersCv.notify_all();
+CompileServer::Clock::time_point
+CompileServer::deadline(const Connection &C) const {
+  if (C.unflushed())
+    return C.LastWrite + std::chrono::milliseconds(Cfg.WriteTimeoutMs);
+  if (Cfg.IdleTimeoutMs > 0 && C.InFlight == 0 && !C.Closing && !draining())
+    return C.LastTraffic + std::chrono::milliseconds(Cfg.IdleTimeoutMs);
+  return Clock::time_point::max();
 }
 
-void CompileServer::connectionLoop(std::shared_ptr<Connection> Conn) {
-  FrameReader Reader(Cfg.Lim);
-  uint8_t Buf[64 * 1024];
-  auto LastActivity = std::chrono::steady_clock::now();
+void CompileServer::reactorLoop() {
+  enum class Phase { Serving, AwaitingJobs, Flushing } P = Phase::Serving;
+  Clock::time_point FlushDeadline = Clock::time_point::max();
+  std::vector<pollfd> Fds;
+  std::vector<uint8_t> Buf(64 * 1024);
 
-  while (!Conn->Dead.load(std::memory_order_acquire)) {
-    size_t Got = 0;
-    RecvStatus RS =
-        recvSome(Conn->Sock.fd(), Buf, sizeof(Buf), Got, Cfg.PollMs);
-    if (RS == RecvStatus::Closed || RS == RecvStatus::Error)
-      break;
-    if (RS == RecvStatus::Timeout) {
-      // Idle reaping: traffic-free AND nothing owed. Never reap while a
-      // response is outstanding, and never during drain (drain closes
-      // connections itself, after the Goodbye).
-      if (Cfg.IdleTimeoutMs > 0 && !Draining.load(std::memory_order_acquire) &&
-          Conn->InFlight.load(std::memory_order_acquire) == 0) {
-        auto Idle = std::chrono::steady_clock::now() - LastActivity;
-        if (Idle >= std::chrono::milliseconds(Cfg.IdleTimeoutMs)) {
-          S.IdleReaped.fetch_add(1, std::memory_order_relaxed);
-          break;
+  for (;;) {
+    Clock::time_point Now = Clock::now();
+    // Drain, as a state: stop accepting; once every admitted job is
+    // answered, stop the (now idle) service and say Goodbye everywhere.
+    if (P == Phase::Serving && draining()) {
+      Listener.close();
+      P = Phase::AwaitingJobs;
+    }
+    if (P == Phase::AwaitingJobs && Pending.empty()) {
+      Service->stop();
+      std::vector<uint8_t> Bye;
+      encodeBare(Bye, MsgType::Goodbye);
+      for (auto &Entry : Conns) {
+        queueFrame(*Entry.second, Bye);
+        Entry.second->Closing = true;
+      }
+      FlushDeadline = Now + std::chrono::milliseconds(Cfg.WriteTimeoutMs);
+      P = Phase::Flushing;
+    }
+    // Past the flush deadline, whatever is still connected is cut off.
+    bool CutOff = Now >= FlushDeadline;
+    for (auto It = Conns.begin(); It != Conns.end();) {
+      Connection &C = *It->second;
+      bool Close = CutOff || C.Dead || (C.Closing && !C.unflushed());
+      if (Close)
+        closeConnection(C);
+      It = Close ? Conns.erase(It) : std::next(It);
+    }
+    if (P == Phase::Flushing && Conns.empty())
+      return;
+
+    // The poll set, and a timeout from the nearest deadline.
+    Clock::time_point Next = FlushDeadline;
+    bool PollListener = P == Phase::Serving && Now >= AcceptResume;
+    if (P == Phase::Serving && !PollListener)
+      Next = AcceptResume;
+    Fds.clear();
+    Fds.push_back({WakeRead.fd(), POLLIN, 0});
+    if (PollListener)
+      Fds.push_back({Listener.fd(), POLLIN, 0});
+    for (auto &Entry : Conns) {
+      Connection &C = *Entry.second;
+      // Backpressure: a peer that owes us a read gets no new input.
+      short Events = C.unflushed() ? POLLOUT : POLLIN;
+      Fds.push_back({C.Sock.fd(), Events, 0});
+      Next = std::min(Next, deadline(C));
+    }
+    int TimeoutMs = -1;
+    if (Next != Clock::time_point::max())
+      TimeoutMs = int(std::max<int64_t>(
+          0, std::chrono::ceil<std::chrono::milliseconds>(Next - Now).count()));
+
+    if (::poll(Fds.data(), Fds.size(), TimeoutMs) > 0) {
+      uint8_t Sink[64];
+      if (Fds[0].revents)
+        while (::recv(WakeRead.fd(), Sink, sizeof(Sink), MSG_DONTWAIT) > 0) {
         }
+      // Conns is unchanged since the poll set was built: same order.
+      const pollfd *PFD = Fds.data() + (PollListener ? 2 : 1);
+      for (auto &Entry : Conns) {
+        Connection &C = *Entry.second;
+        short Ready = PFD->revents, Wanted = PFD->events;
+        ++PFD;
+        if (!Ready || C.Dead)
+          continue;
+        if (Wanted & POLLOUT)
+          flush(C);
+        else
+          readFrom(C, Buf);
       }
-      continue;
+      if (PollListener && (Fds[1].revents & POLLIN))
+        acceptAll();
     }
+    // Results land after the admissions above have their Pending entries:
+    // a job completed inline by tryEnqueue is routed in this same pass.
+    processInbox();
 
-    S.BytesRead.fetch_add(Got, std::memory_order_relaxed);
-    LastActivity = std::chrono::steady_clock::now();
-    Reader.feed(Buf, Got);
-
-    Frame F;
-    Decode D;
-    bool Close = false;
-    while ((D = Reader.next(F)) == Decode::Ok) {
-      S.FramesRead.fetch_add(1, std::memory_order_relaxed);
-      if (!handleFrame(Conn, F)) {
-        Close = true;
-        break;
-      }
+    Now = Clock::now();
+    for (auto &Entry : Conns) {
+      Connection &C = *Entry.second;
+      if (C.Dead || Now < deadline(C))
+        continue;
+      (C.unflushed() ? S.SlowClientDrops : S.IdleReaped)
+          .fetch_add(1, std::memory_order_relaxed);
+      C.Dead = true;
     }
-    if (Close)
-      break;
-    if (D == Decode::Error) {
-      // Typed error, then hang up: after a framing error the stream can
-      // never be resynchronized.
-      sendProtocolError(Conn, Reader.errorCode(), Reader.error());
-      break;
-    }
-
-    // Forced-disconnect fault site: the connection dies abruptly, as if
-    // the network dropped it — possibly with jobs still in flight (their
-    // results become orphans; the service itself must keep serving).
-    if (FaultInjector *FI = activeFaultInjector())
-      if (FI->dropConnection())
-        break;
   }
-
-  Conn->Dead.store(true, std::memory_order_release);
-  Conn->Sock.shutdownBoth(); // wake any writer; fd closes with the last ref
-  dropConnectionEntry(Conn->ConnId);
 }
 
-bool CompileServer::handleFrame(const std::shared_ptr<Connection> &Conn,
-                                const Frame &F) {
-  if (!Conn->SawHello.load(std::memory_order_acquire) &&
-      F.type() != MsgType::Hello) {
-    sendProtocolError(Conn, ProtoErrCode::HelloRequired,
+void CompileServer::acceptAll() {
+  for (;;) {
+    Socket NS = acceptConn(Listener.fd());
+    if (!NS.valid()) {
+      // Out of fds: the refused connection stays queued, so the level-
+      // triggered listener stays readable and polling it would spin. Sit
+      // it out until a connection closes, or 50 ms at most.
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM)
+        AcceptResume = Clock::now() + std::chrono::milliseconds(50);
+      return; // EAGAIN: the backlog is empty
+    }
+    auto C = std::make_unique<Connection>(Cfg.Lim);
+    C->ConnId = NextConnId++;
+    C->Sock = std::move(NS);
+    C->LastTraffic = Clock::now();
+    Conns.emplace(C->ConnId, std::move(C));
+    S.ConnectionsAccepted.fetch_add(1, std::memory_order_relaxed);
+    LiveConns.fetch_add(1, std::memory_order_release);
+  }
+}
+
+void CompileServer::closeConnection(Connection &C) {
+  C.Sock.close();
+  S.ConnectionsClosed.fetch_add(1, std::memory_order_relaxed);
+  LiveConns.fetch_sub(1, std::memory_order_release);
+  AcceptResume = {}; // an fd came free: accept again
+}
+
+void CompileServer::readFrom(Connection &C, std::vector<uint8_t> &Buf) {
+  ssize_t N = ::recv(C.Sock.fd(), Buf.data(), Buf.size(), 0);
+  if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR))
+    return;
+  if (N <= 0) {
+    C.Dead = true; // orderly EOF or a reset
+    return;
+  }
+  S.BytesRead.fetch_add(uint64_t(N), std::memory_order_relaxed);
+  C.LastTraffic = Clock::now();
+  C.Reader.feed(Buf.data(), size_t(N));
+
+  Frame F;
+  Decode D;
+  while ((D = C.Reader.next(F)) == Decode::Ok) {
+    S.FramesRead.fetch_add(1, std::memory_order_relaxed);
+    if (!handleFrame(C, F)) {
+      C.Closing = true;
+      return;
+    }
+  }
+  if (D == Decode::Error) {
+    // Typed error, then hang up: after a framing error the stream can
+    // never be resynchronized.
+    sendProtocolError(C, C.Reader.errorCode(), C.Reader.error());
+    return;
+  }
+
+  // Forced-disconnect fault site: the connection dies abruptly, as if
+  // the network dropped it — possibly with jobs still in flight (their
+  // results become orphans; the service itself must keep serving).
+  if (FaultInjector *FI = activeFaultInjector())
+    if (FI->dropConnection())
+      C.Dead = true;
+}
+
+bool CompileServer::handleFrame(Connection &C, const Frame &F) {
+  if (!C.SawHello && F.type() != MsgType::Hello) {
+    sendProtocolError(C, ProtoErrCode::HelloRequired,
                       "first frame must be Hello");
     return false;
   }
 
   switch (F.type()) {
   case MsgType::Hello: {
-    if (Conn->SawHello.load(std::memory_order_acquire)) {
-      sendProtocolError(Conn, ProtoErrCode::MalformedPayload,
-                        "duplicate Hello");
+    if (C.SawHello) {
+      sendProtocolError(C, ProtoErrCode::MalformedPayload, "duplicate Hello");
       return false;
     }
     WireHello H;
     std::string Err;
     if (!decodeHello(F.Payload, F.PayloadLen, H, Err)) {
-      sendProtocolError(Conn,
+      sendProtocolError(C,
                         Err == "bad hello magic" ? ProtoErrCode::BadMagic
                                                  : ProtoErrCode::MalformedPayload,
                         Err);
       return false;
     }
     if (H.Version != ProtocolVersion) {
-      sendProtocolError(Conn, ProtoErrCode::BadVersion,
+      sendProtocolError(C, ProtoErrCode::BadVersion,
                         "peer speaks version " + std::to_string(H.Version) +
                             ", server speaks " +
                             std::to_string(ProtocolVersion));
       return false;
     }
-    Conn->SawHello.store(true, std::memory_order_release);
+    C.SawHello = true;
     return true;
   }
 
@@ -197,17 +276,17 @@ bool CompileServer::handleFrame(const std::shared_ptr<Connection> &Conn,
     WireRequest Req;
     std::string Err;
     if (!decodeRequest(F.Payload, F.PayloadLen, Cfg.Lim, Req, Err)) {
-      sendProtocolError(Conn, ProtoErrCode::MalformedPayload, Err);
+      sendProtocolError(C, ProtoErrCode::MalformedPayload, Err);
       return false;
     }
-    handleRequest(Conn, std::move(Req));
+    handleRequest(C, std::move(Req));
     return true;
   }
 
   case MsgType::Ping: {
     std::vector<uint8_t> Out;
     encodeBare(Out, MsgType::Pong);
-    writeFrame(Conn, Out);
+    queueFrame(C, std::move(Out));
     return true;
   }
 
@@ -220,24 +299,22 @@ bool CompileServer::handleFrame(const std::shared_ptr<Connection> &Conn,
   case MsgType::CompileResponse:
   case MsgType::RetryAfter:
   case MsgType::ProtocolError:
-    sendProtocolError(Conn, ProtoErrCode::MalformedPayload,
+    sendProtocolError(C, ProtoErrCode::MalformedPayload,
                       "server-to-client frame type from a client");
     return false;
   }
   return false; // unreachable: FrameReader rejected unknown types already
 }
 
-void CompileServer::handleRequest(const std::shared_ptr<Connection> &Conn,
-                                  WireRequest Req) {
-  if (Draining.load(std::memory_order_acquire)) {
-    sendRetryAfter(Conn, Req.ReqId, "server is draining");
+void CompileServer::handleRequest(Connection &C, WireRequest Req) {
+  if (draining()) {
+    sendRetryAfter(C, Req.ReqId, "server is draining");
     return;
   }
   // Per-connection in-flight cap: enforced here, before the service sees
   // the job, so one greedy connection cannot monopolize the queue.
-  if (Conn->InFlight.load(std::memory_order_acquire) >=
-      Cfg.MaxInFlightPerConn) {
-    sendRetryAfter(Conn, Req.ReqId, "connection in-flight cap reached");
+  if (C.InFlight >= Cfg.MaxInFlightPerConn) {
+    sendRetryAfter(C, Req.ReqId, "connection in-flight cap reached");
     return;
   }
 
@@ -248,68 +325,45 @@ void CompileServer::handleRequest(const std::shared_ptr<Connection> &Conn,
       Req.Interactive ? JobPriority::Interactive : JobPriority::Batch;
   Job.DeadlineSec = static_cast<double>(Req.DeadlineMillis) / 1000.0;
 
-  // Count the job in flight *before* enqueueing: the completion callback
-  // (which decrements) can fire before tryEnqueue returns.
-  Conn->InFlight.fetch_add(1, std::memory_order_acq_rel);
   AdmitResult AR = Service->tryEnqueue(std::move(Job));
   if (AR.Id == InvalidJobId) {
-    // Stopped service: no slot, no callback owed.
-    Conn->InFlight.fetch_sub(1, std::memory_order_acq_rel);
-    sendRetryAfter(Conn, Req.ReqId, "service stopped");
+    // Stopped service: no slot, no result owed.
+    sendRetryAfter(C, Req.ReqId, "service stopped");
     return;
   }
   if (AR.Accepted)
     S.RequestsAdmitted.fetch_add(1, std::memory_order_relaxed);
+  // A refusal (or shed victim) may already sit in the inbox; the reactor
+  // reads it only after this entry exists.
+  Pending.emplace(AR.Id, PendingJob{C.ConnId, Req.ReqId});
+  ++C.InFlight;
+}
 
-  // Claim the id. The callback may already have fired (stashing the
-  // result under Unclaimed) — deliver inline in that case.
-  std::unique_ptr<BatchResult> Early;
+void CompileServer::processInbox() {
+  std::vector<std::pair<uint64_t, BatchResult>> Done;
   {
-    std::lock_guard<std::mutex> Lock(PendingM);
-    auto It = Unclaimed.find(AR.Id);
-    if (It != Unclaimed.end()) {
-      Early = std::move(It->second);
-      Unclaimed.erase(It);
-    } else {
-      Pending.emplace(AR.Id, PendingJob{Conn, Req.ReqId});
-    }
+    std::lock_guard<std::mutex> Lock(InboxM);
+    Done.swap(Inbox);
   }
-  if (Early) {
-    respond(Conn, Req.ReqId, *Early);
-    Conn->InFlight.fetch_sub(1, std::memory_order_acq_rel);
+  for (auto &[JobId, R] : Done) {
+    auto Job = Pending.extract(JobId);
+    assert(!Job.empty() && "result for a job that was never admitted");
+    auto It = Conns.find(Job.mapped().ConnId);
+    Connection *C = It == Conns.end() ? nullptr : It->second.get();
+    if (C)
+      --C->InFlight;
+    // A dead connection's job still ran to completion (the service never
+    // aborts admitted work); only its answer is dropped.
+    if (C && !C->Dead && !C->Closing)
+      respond(*C, Job.mapped().ReqId, R);
+    else
+      S.OrphanedResults.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void CompileServer::deliverResult(uint64_t JobId, BatchResult R) {
-  PendingJob PJ;
-  {
-    std::lock_guard<std::mutex> Lock(PendingM);
-    auto It = Pending.find(JobId);
-    if (It == Pending.end()) {
-      // The admitting thread has not registered this id yet — it is
-      // still inside tryEnqueue. Stash; it claims after returning.
-      Unclaimed.emplace(JobId,
-                        std::make_unique<BatchResult>(std::move(R)));
-      return;
-    }
-    PJ = std::move(It->second);
-    Pending.erase(It);
-  }
-  respond(PJ.Conn, PJ.ReqId, R);
-  PJ.Conn->InFlight.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void CompileServer::respond(const std::shared_ptr<Connection> &Conn,
-                            uint64_t ReqId, BatchResult &R) {
-  if (Conn->Dead.load(std::memory_order_acquire)) {
-    // Disconnect mid-job: the job still ran to completion (the service
-    // never aborts admitted work); only the answer has nowhere to go.
-    S.OrphanedResults.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-
+void CompileServer::respond(Connection &C, uint64_t ReqId, BatchResult &R) {
   if (R.Status == JobStatus::Rejected) {
-    sendRetryAfter(Conn, ReqId,
+    sendRetryAfter(C, ReqId,
                    R.DiagText.empty() ? "rejected by admission control"
                                       : R.DiagText.c_str());
     return;
@@ -341,45 +395,66 @@ void CompileServer::respond(const std::shared_ptr<Connection> &Conn,
 
   std::vector<uint8_t> Out;
   encodeResponse(Out, Resp);
-  if (writeFrame(Conn, Out))
+  if (queueFrame(C, std::move(Out)))
     S.ResponsesSent.fetch_add(1, std::memory_order_relaxed);
   else
     S.OrphanedResults.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool CompileServer::writeFrame(const std::shared_ptr<Connection> &Conn,
-                               const std::vector<uint8_t> &Bytes) {
-  std::lock_guard<std::mutex> Lock(Conn->WriteM);
-  if (Conn->Dead.load(std::memory_order_acquire))
+bool CompileServer::queueFrame(Connection &C, std::vector<uint8_t> Bytes) {
+  if (C.Dead || C.Closing)
     return false;
-  if (!sendAll(Conn->Sock.fd(), Bytes.data(), Bytes.size(),
-               Cfg.WriteTimeoutMs)) {
-    // Timed out (a peer that stopped reading) or failed outright: either
-    // way this connection is beyond saving. Mark dead and wake its
-    // reader so the fd is torn down once, through the normal exit path.
-    S.SlowClientDrops.fetch_add(1, std::memory_order_relaxed);
-    Conn->Dead.store(true, std::memory_order_release);
-    Conn->Sock.shutdownBoth();
-    return false;
+  // Torn-write fault: queue a strict prefix of the frame, then hang up.
+  // The peer's deframer sees a truncated frame followed by EOF — exactly
+  // the shape a mid-write crash or connection reset produces.
+  if (FaultInjector *FI = activeFaultInjector())
+    if (Bytes.size() > 1 && FI->tearWrite()) {
+      Bytes.resize(Bytes.size() / 2);
+      C.Closing = true;
+    }
+  if (C.unflushed()) {
+    C.Out.insert(C.Out.end(), Bytes.begin(), Bytes.end());
+  } else {
+    C.Out = std::move(Bytes);
+    C.OutAt = 0;
+    C.LastWrite = Clock::now();
   }
-  S.BytesWritten.fetch_add(Bytes.size(), std::memory_order_relaxed);
-  return true;
+  flush(C);
+  return !(C.Dead || C.Closing);
 }
 
-void CompileServer::sendRetryAfter(const std::shared_ptr<Connection> &Conn,
-                                   uint64_t ReqId, const char *Reason) {
+void CompileServer::flush(Connection &C) {
+  while (C.unflushed()) {
+    ssize_t N = ::send(C.Sock.fd(), C.Out.data() + C.OutAt,
+                       C.Out.size() - C.OutAt, MSG_NOSIGNAL);
+    if (N > 0) {
+      C.OutAt += size_t(N);
+      C.LastWrite = C.LastTraffic = Clock::now();
+      S.BytesWritten.fetch_add(uint64_t(N), std::memory_order_relaxed);
+    } else if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return; // kernel buffer full: POLLOUT resumes the flush
+    } else if (!(N < 0 && errno == EINTR)) {
+      C.Dead = true; // the peer is gone
+      return;
+    }
+  }
+  std::vector<uint8_t>().swap(C.Out); // a big response's buffer goes now
+  C.OutAt = 0;
+}
+
+void CompileServer::sendRetryAfter(Connection &C, uint64_t ReqId,
+                                   const char *Reason) {
   WireRetryAfter M;
   M.ReqId = ReqId;
   M.RetryAfterMillis = Cfg.RetryAfterMillis;
   M.Reason = Reason;
   std::vector<uint8_t> Out;
   encodeRetryAfter(Out, M);
-  if (writeFrame(Conn, Out))
+  if (queueFrame(C, std::move(Out)))
     S.RetryAfterSent.fetch_add(1, std::memory_order_relaxed);
 }
 
-void CompileServer::sendProtocolError(const std::shared_ptr<Connection> &Conn,
-                                      ProtoErrCode Code,
+void CompileServer::sendProtocolError(Connection &C, ProtoErrCode Code,
                                       const std::string &Detail) {
   S.ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
   WireProtocolError M;
@@ -387,79 +462,26 @@ void CompileServer::sendProtocolError(const std::shared_ptr<Connection> &Conn,
   M.Detail = Detail;
   std::vector<uint8_t> Out;
   encodeProtocolError(Out, M);
-  writeFrame(Conn, Out); // best effort — we are hanging up either way
-}
-
-void CompileServer::dropConnectionEntry(uint64_t ConnId) {
-  std::lock_guard<std::mutex> Lock(ConnsM);
-  if (Conns.erase(ConnId))
-    S.ConnectionsClosed.fetch_add(1, std::memory_order_relaxed);
+  queueFrame(C, std::move(Out)); // best effort — we hang up either way
+  C.Closing = true;
 }
 
 void CompileServer::requestDrain() {
-  bool Expected = false;
-  if (!Draining.compare_exchange_strong(Expected, true,
-                                        std::memory_order_acq_rel))
+  if (Draining.exchange(true, std::memory_order_acq_rel))
     return;
-  if (!Started.load(std::memory_order_acquire)) {
+  if (!Started) {
     // Never started: nothing to unwind, but the contract (waitDrained
     // returns, service stopped) still holds.
     Service->stop();
-    std::lock_guard<std::mutex> Lock(DrainM);
-    DrainDone = true;
-    DrainCv.notify_all();
     return;
   }
-  uint8_t B = 1;
-  (void)::send(WakeWrite.fd(), &B, 1, MSG_NOSIGNAL);
-  Drainer = std::thread([this] { drainMain(); });
-}
-
-void CompileServer::drainMain() {
-  // 1. Stop accepting (the acceptor saw Draining + the wake byte).
-  if (Acceptor.joinable())
-    Acceptor.join();
-  Listener.close();
-
-  // 2. Answer everything admitted. stop() returns only after the
-  //    OnResult callback has fired for every admitted job, i.e. after
-  //    every owed CompileResponse/RetryAfter has been written (or
-  //    counted as an orphan). Readers keep running meanwhile, answering
-  //    late arrivals with RetryAfter("server is draining").
-  Service->stop();
-
-  // 3. Say Goodbye on every surviving connection, then shut it down so
-  //    its reader unblocks and exits.
-  std::vector<std::shared_ptr<Connection>> Live;
-  {
-    std::lock_guard<std::mutex> Lock(ConnsM);
-    Live.reserve(Conns.size());
-    for (auto &Entry : Conns)
-      Live.push_back(Entry.second);
-  }
-  std::vector<uint8_t> Bye;
-  encodeBare(Bye, MsgType::Goodbye);
-  for (auto &Conn : Live) {
-    writeFrame(Conn, Bye);
-    Conn->Dead.store(true, std::memory_order_release);
-    Conn->Sock.shutdownBoth();
-  }
-
-  // 4. Wait for every reader to unwind (they remove themselves from
-  //    Conns on the way out).
-  {
-    std::unique_lock<std::mutex> Lock(ReadersM);
-    ReadersCv.wait(Lock, [this] { return ActiveReaders == 0; });
-  }
-
-  std::lock_guard<std::mutex> Lock(DrainM);
-  DrainDone = true;
-  DrainCv.notify_all();
+  wake();
 }
 
 void CompileServer::waitDrained() {
-  std::unique_lock<std::mutex> Lock(DrainM);
-  DrainCv.wait(Lock, [this] { return DrainDone; });
+  std::lock_guard<std::mutex> Lock(JoinM);
+  if (Reactor.joinable())
+    Reactor.join();
 }
 
 ServerStats CompileServer::snapshot() const {
@@ -477,9 +499,4 @@ ServerStats CompileServer::snapshot() const {
   Out.BytesRead = S.BytesRead.load();
   Out.BytesWritten = S.BytesWritten.load();
   return Out;
-}
-
-size_t CompileServer::liveConnections() const {
-  std::lock_guard<std::mutex> Lock(ConnsM);
-  return Conns.size();
 }

@@ -5,35 +5,34 @@
 /// so that *everything a hostile network can do is an accounted-for
 /// outcome*, never a crash and never a wedged worker.
 ///
-/// Architecture (one CompileServer):
+/// Architecture: one reactor thread owns the listener, every connection
+/// and a wake socket, and waits on them with poll. It is the only thread
+/// that reads, decodes, calls tryEnqueue(), writes or closes:
 ///
-///   accept thread ──► per-connection reader threads ──► tryEnqueue()
-///                                                           │
-///   OnResult callback (worker threads) ◄────────────────────┘
-///        │ looks up (jobId → connection, reqId)
-///        └─► serializes CompileResponse / RetryAfter, writes under the
-///            connection's write lock with a bounded timeout
+///   readable  ─► FrameReader ─► tryEnqueue() ─► Pending[job] = (conn, req)
+///   OnResult  ─► inbox (the server's one lock) + wake byte      [workers]
+///   each pass ─► inbox ─► Pending ─► encode ─► connection's outbound queue
+///   writable  ─► flush the queue, without blocking
 ///
 /// Robustness contracts:
 ///
-///   - Defensive framing: the FrameReader's caps and typed errors mean a
-///     torn frame, oversized header, or unknown msgType yields one
-///     ProtocolError frame and a closed connection — the service and all
-///     other connections keep running.
-///   - Per-connection lifecycle: reads are polled with a timeout, idle
-///     connections (no traffic, nothing in flight) are reaped, and a
-///     connection may hold at most MaxInFlightPerConn jobs — beyond
-///     that, and whenever the service's admission control refuses a job,
-///     the client receives an explicit RetryAfter with a delay hint.
-///   - Slow clients: response writes use a bounded poll; a peer that
-///     stops reading is dropped (slowClientDrops), freeing the worker.
-///   - Mid-job disconnects: jobs of a dead connection still complete;
-///     their results are dropped and counted (orphanedResults).
-///   - Graceful drain: requestDrain() stops accepting, answers every
-///     admitted job (results or RetryAfter for late arrivals), sends
-///     Goodbye on every surviving connection, and only then tears down —
-///     riding CompileService::stop()'s drain guarantee. SIGTERM in the
-///     mpc_served binary maps to exactly this, then exit 0.
+///   - Defensive framing: a torn frame, oversized header or unknown
+///     msgType yields one ProtocolError frame and a closed connection.
+///   - Fixed threads: clients cannot add threads. If accept() runs out of
+///     fds, the listener leaves the poll set until a connection closes
+///     (or a short back-off passes) instead of spinning.
+///   - Per-connection lifecycle: idle connections are reaped; beyond
+///     MaxInFlightPerConn jobs, and whenever admission control refuses a
+///     job, the client gets an explicit RetryAfter with a delay hint.
+///   - Slow clients: workers never touch a socket. A connection with
+///     unflushed output is not read from, and one whose output makes no
+///     progress for WriteTimeoutMs is dropped (slowClientDrops).
+///   - Mid-job disconnects: the job still completes; its result is
+///     dropped and counted (orphanedResults).
+///   - Graceful drain: stop accepting, answer every admitted job (late
+///     arrivals get RetryAfter), stop the service, then Goodbye and close
+///     every connection, all flushed under one WriteTimeoutMs deadline.
+///     SIGTERM in the mpc_served binary maps to exactly this, then exit 0.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,11 +44,12 @@
 #include "net/Socket.h"
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace mpc {
@@ -60,16 +60,15 @@ struct ServerConfig {
   /// TCP port on 127.0.0.1; 0 = ephemeral (read back via port()).
   uint16_t Port = 0;
   /// The wrapped compile service. OnResult must stay unset (the server
-  /// installs its own).
+  /// installs its own); start() refuses Block over a bounded queue.
   ServiceConfig Service;
   /// Wire-format caps handed to every connection's FrameReader.
   Limits Lim;
   /// Jobs one connection may have admitted-but-unanswered. Above this
   /// the server answers RetryAfter without consulting the service.
   uint32_t MaxInFlightPerConn = 8;
-  /// Reader poll granularity (also bounds drain-notice latency).
-  int PollMs = 50;
-  /// Slow-client guard: max time one response write may stall.
+  /// Slow-client guard: max time a connection's outbound queue may make
+  /// no progress; also bounds the final Goodbye flush of a drain.
   int WriteTimeoutMs = 2000;
   /// Connections with no traffic and nothing in flight for this long
   /// are closed. 0 disables reaping.
@@ -94,7 +93,7 @@ struct ServerStats {
   uint64_t BytesWritten = 0;
 };
 
-/// The long-lived server. start() spins up the listener; requestDrain()
+/// The long-lived server. start() spins up the reactor; requestDrain()
 /// (or destruction) runs the graceful shutdown.
 class CompileServer {
 public:
@@ -104,8 +103,8 @@ public:
   /// requestDrain() + waitDrained().
   ~CompileServer();
 
-  /// Binds and starts accepting. False + \p Err on failure (e.g. port
-  /// in use). Call once.
+  /// Binds and starts the reactor. False + \p Err on failure (port in
+  /// use, or a service config that could block admission). Call once.
   bool start(std::string &Err);
 
   /// The bound port (valid after start()).
@@ -113,7 +112,7 @@ public:
 
   /// Begins the graceful drain (idempotent, non-blocking): stop
   /// accepting, refuse new requests with RetryAfter, answer everything
-  /// admitted, Goodbye + close every connection, join all threads.
+  /// admitted, Goodbye + close every connection, stop the reactor.
   void requestDrain();
 
   /// Blocks until the drain started by requestDrain() has finished.
@@ -127,71 +126,82 @@ public:
   /// The wrapped service (e.g. for its StatsRegistry after a drain).
   CompileService &service() { return *Service; }
 
-  /// Live connections (tests: idle-reap / drain assertions).
-  size_t liveConnections() const;
+  /// Live connections (tests: idle-reap / drain assertions). Thread-safe.
+  size_t liveConnections() const {
+    return LiveConns.load(std::memory_order_acquire);
+  }
 
 private:
+  using Clock = std::chrono::steady_clock;
+
   struct Connection {
+    explicit Connection(const Limits &Lim) : Reader(Lim) {}
     uint64_t ConnId = 0;
     Socket Sock;
-    std::mutex WriteM;
-    std::atomic<uint32_t> InFlight{0};
-    std::atomic<bool> Dead{false};
-    std::atomic<bool> SawHello{false};
+    FrameReader Reader;
+    std::vector<uint8_t> Out; // outbound bytes; [0, OutAt) already sent
+    size_t OutAt = 0;
+    Clock::time_point LastTraffic; // idle reaping
+    Clock::time_point LastWrite;   // write timeout, while Out is unflushed
+    uint32_t InFlight = 0;
+    bool SawHello = false;
+    bool Closing = false; // final frame queued: close once flushed
+    bool Dead = false;    // close at the start of the next pass
+
+    bool unflushed() const { return OutAt < Out.size(); }
   };
 
   struct PendingJob {
-    std::shared_ptr<Connection> Conn;
-    uint64_t ReqId = 0;
+    uint64_t ConnId = 0, ReqId = 0;
   };
 
-  void acceptLoop();
-  void drainMain();
-  void connectionLoop(std::shared_ptr<Connection> Conn);
-  /// Bookkeeping a detached reader runs as its very last act (a reader
-  /// cannot join itself; drain waits on the count instead).
-  void readerExit();
+  void reactorLoop();
+  /// When \p C times out: its write timeout, else its idle reap.
+  Clock::time_point deadline(const Connection &C) const;
+  /// Accepts until the backlog is empty or the fds run out.
+  void acceptAll();
+  void closeConnection(Connection &C);
+  /// One read, then every complete frame it finished.
+  void readFrom(Connection &C, std::vector<uint8_t> &Buf);
   /// Dispatches one decoded frame. False = close the connection.
-  bool handleFrame(const std::shared_ptr<Connection> &Conn, const Frame &F);
-  void handleRequest(const std::shared_ptr<Connection> &Conn,
-                     WireRequest Req);
-  /// The service's OnResult hook: routes \p R to the owning connection.
+  bool handleFrame(Connection &C, const Frame &F);
+  void handleRequest(Connection &C, WireRequest Req);
+  /// The service's OnResult hook: parks \p R in the inbox.
   void deliverResult(uint64_t JobId, BatchResult R);
+  /// Routes every parked result to the connection that asked for it.
+  void processInbox();
   /// Turns one finished BatchResult into its wire answer: RetryAfter for
   /// JobStatus::Rejected, CompileResponse for everything else.
-  void respond(const std::shared_ptr<Connection> &Conn, uint64_t ReqId,
-               BatchResult &R);
-  /// Serializes + writes one frame under the connection's write lock;
-  /// marks the connection dead on failure. Returns write success.
-  bool writeFrame(const std::shared_ptr<Connection> &Conn,
-                  const std::vector<uint8_t> &Bytes);
-  void sendRetryAfter(const std::shared_ptr<Connection> &Conn,
-                      uint64_t ReqId, const char *Reason);
-  void sendProtocolError(const std::shared_ptr<Connection> &Conn,
-                         ProtoErrCode Code, const std::string &Detail);
-  void dropConnectionEntry(uint64_t ConnId);
+  void respond(Connection &C, uint64_t ReqId, BatchResult &R);
+  /// Appends one frame to the outbound queue and writes what the kernel
+  /// takes. Hosts the NetTornWrite site. False = not queued whole.
+  bool queueFrame(Connection &C, std::vector<uint8_t> Bytes);
+  /// Non-blocking write of the unflushed queue; marks C dead on error.
+  void flush(Connection &C);
+  void sendRetryAfter(Connection &C, uint64_t ReqId, const char *Reason);
+  void sendProtocolError(Connection &C, ProtoErrCode Code,
+                         const std::string &Detail);
+  void wake();
 
   ServerConfig Cfg;
   std::unique_ptr<CompileService> Service;
   Socket Listener;
   uint16_t BoundPort = 0;
-  Socket WakeRead, WakeWrite; // self-pipe (socketpair) to wake accept poll
-
+  Socket WakeRead, WakeWrite; // socketpair: wakes the reactor's poll
+  bool Started = false;
   std::atomic<bool> Draining{false};
-  std::atomic<bool> Started{false};
-  std::mutex DrainM;
-  std::condition_variable DrainCv;
-  bool DrainDone = false;
 
-  mutable std::mutex ConnsM;
-  std::unordered_map<uint64_t, std::shared_ptr<Connection>> Conns;
-  uint64_t NextConnId = 1;
+  /// Completed jobs waiting for the reactor; the one lock workers take.
+  std::mutex InboxM;
+  std::vector<std::pair<uint64_t, BatchResult>> Inbox;
 
-  std::mutex PendingM;
+  // Touched by the reactor thread only.
+  std::unordered_map<uint64_t, std::unique_ptr<Connection>> Conns;
   std::unordered_map<uint64_t, PendingJob> Pending;
-  /// Results that completed before tryEnqueue() returned their job id to
-  /// the admitting thread (the callback can outrun the admitter).
-  std::unordered_map<uint64_t, std::unique_ptr<BatchResult>> Unclaimed;
+  uint64_t NextConnId = 1;
+  /// After accept() ran out of fds, the listener is not polled before
+  /// this (reset when a connection closes).
+  Clock::time_point AcceptResume;
 
   struct AtomicStats {
     std::atomic<uint64_t> ConnectionsAccepted{0}, ConnectionsClosed{0},
@@ -201,15 +211,10 @@ private:
         BytesWritten{0};
   };
   AtomicStats S;
+  std::atomic<size_t> LiveConns{0};
 
-  /// Live detached reader threads. Drain (and only drain) waits for this
-  /// to hit zero after shutting every socket down.
-  std::mutex ReadersM;
-  std::condition_variable ReadersCv;
-  size_t ActiveReaders = 0;
-
-  std::thread Acceptor;
-  std::thread Drainer;
+  std::mutex JoinM; // waitDrained() may be called from several threads
+  std::thread Reactor;
 };
 
 } // namespace net

@@ -24,11 +24,6 @@ Socket &Socket::operator=(Socket &&O) noexcept {
   return *this;
 }
 
-void Socket::shutdownBoth() {
-  if (Fd >= 0)
-    ::shutdown(Fd, SHUT_RDWR);
-}
-
 void Socket::close() {
   if (Fd >= 0) {
     ::close(Fd);
@@ -67,6 +62,8 @@ Socket net::listenTcp(uint16_t &Port, std::string &Err, int Backlog) {
     Err = std::string("listen: ") + std::strerror(errno);
     return Socket();
   }
+  // Non-blocking: an accept loop drains the backlog until EAGAIN.
+  ::fcntl(Fd, F_SETFL, ::fcntl(Fd, F_GETFL, 0) | O_NONBLOCK);
   socklen_t Len = sizeof(Addr);
   if (::getsockname(Fd, reinterpret_cast<sockaddr *>(&Addr), &Len) != 0) {
     Err = std::string("getsockname: ") + std::strerror(errno);
@@ -82,8 +79,8 @@ Socket net::acceptConn(int ListenFd) {
     return Socket();
   int One = 1;
   ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-  // Non-blocking: sendAll/recvSome own all waiting via poll, which is
-  // what makes their timeouts real.
+  // Non-blocking: callers own all waiting via poll, which is what makes
+  // timeouts real.
   int Flags = ::fcntl(Fd, F_GETFL, 0);
   ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK);
   return Socket(Fd);
@@ -162,22 +159,6 @@ RecvStatus net::recvSome(int Fd, uint8_t *Buf, size_t Cap, size_t &Got,
 }
 
 bool net::sendAll(int Fd, const uint8_t *Buf, size_t Len, int TimeoutMs) {
-  // Torn-write fault: emit a strict prefix of the frame, then fail. The
-  // peer's deframer sees a truncated frame followed by EOF — exactly the
-  // shape a mid-write crash or connection reset produces.
-  if (FaultInjector *FI = activeFaultInjector()) {
-    if (Len > 1 && FI->tearWrite()) {
-      size_t Torn = Len / 2;
-      size_t At = 0;
-      while (At < Torn) {
-        ssize_t N = ::send(Fd, Buf + At, Torn - At, MSG_NOSIGNAL);
-        if (N <= 0)
-          break;
-        At += static_cast<size_t>(N);
-      }
-      return false;
-    }
-  }
   size_t At = 0;
   while (At < Len) {
     ssize_t N = ::send(Fd, Buf + At, Len - At, MSG_NOSIGNAL);

@@ -1,18 +1,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Dependency-light POSIX TCP plumbing for the compile server: RAII fd
-/// ownership plus timeout-bounded whole-buffer send and chunk receive.
-/// Everything returns status codes — no exceptions cross this layer, so
-/// connection handlers can turn every failure into "close and account"
-/// without unwinding through socket state.
+/// Dependency-light POSIX TCP plumbing: RAII fd ownership, a loopback
+/// listener, and the timeout-bounded whole-buffer send and chunk receive
+/// that clients use. Everything returns status codes — no exceptions
+/// cross this layer, so every failure can become "close and account".
 ///
-/// The fault-injection story lives here too: sendAll() hosts the
-/// NetTornWrite site (the frame is cut short mid-write, then the call
-/// fails — the peer sees a truncated frame followed by EOF) and
-/// recvSome() hosts the NetReadDelay site (a deterministic slow peer).
-/// That is what lets the wire tests replay torn-frame and slow-client
-/// schedules from a seed instead of depending on kernel buffer luck.
+/// recvSome() hosts the NetReadDelay fault site (a deterministic slow
+/// peer), so the wire tests replay slow-client schedules from a seed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,10 +35,6 @@ public:
   bool valid() const { return Fd >= 0; }
   int fd() const { return Fd; }
 
-  /// Half-close both directions without releasing the fd — wakes a peer
-  /// (or our own reader thread) blocked in poll/read. Idempotent.
-  void shutdownBoth();
-
   /// Closes the fd. Idempotent.
   void close();
 
@@ -51,13 +42,14 @@ private:
   int Fd = -1;
 };
 
-/// Creates a loopback listener. \p Port 0 picks an ephemeral port; on
-/// success \p Port holds the actual bound port. Invalid Socket + \p Err
-/// on failure.
+/// Creates a non-blocking loopback listener. \p Port 0 picks an
+/// ephemeral port; on success \p Port holds the actual bound port.
+/// Invalid Socket + \p Err on failure.
 Socket listenTcp(uint16_t &Port, std::string &Err, int Backlog = 64);
 
-/// Accepts one pending connection (the caller polled readability).
-/// Invalid Socket when the listener is closed or the accept fails.
+/// Accepts one pending connection as a non-blocking socket. Invalid
+/// Socket when none is pending (errno EAGAIN) or the accept fails (errno
+/// says why, e.g. EMFILE).
 Socket acceptConn(int ListenFd);
 
 /// Connects to 127.0.0.1:\p Port with a bounded wait.
@@ -79,8 +71,7 @@ RecvStatus recvSome(int Fd, uint8_t *Buf, size_t Cap, size_t &Got,
 /// Writes the whole buffer, polling for writability between partial
 /// writes; fails (false) if any single wait exceeds \p TimeoutMs — the
 /// slow-client guard: a peer that stops reading cannot pin the writer
-/// for longer than the timeout. Hosts the NetTornWrite fault site.
-/// Writes with SIGPIPE suppressed.
+/// for longer than the timeout. Writes with SIGPIPE suppressed.
 bool sendAll(int Fd, const uint8_t *Buf, size_t Len, int TimeoutMs);
 
 /// Bounded poll for readability. Returns +1 readable, 0 timeout,

@@ -19,14 +19,15 @@
 ///   - FrontendEntry    the per-source frontend loop;
 ///   - PhaseEntry       the transformation pipeline, once per phase group
 ///                      per unit;
-///   - NetTornWrite     src/net's sendAll — the frame is cut short
-///                      mid-write and the connection reports failure (the
-///                      peer observes a truncated frame followed by EOF);
-///   - NetReadDelay     src/net's recvSome — the read is delayed by a
-///                      configured amount (how tests build slow clients
-///                      without depending on machine speed);
-///   - NetDisconnect    chunk boundaries in the server's connection
-///                      reader — the connection is dropped abruptly,
+///   - NetTornWrite     the server's non-blocking send — only a prefix
+///                      of the frame is queued and the connection closes
+///                      once it is flushed (the peer observes a truncated
+///                      frame followed by EOF);
+///   - NetReadDelay     src/net's recvSome, which clients use — the read
+///                      is delayed by a configured amount (how tests build
+///                      slow clients without depending on machine speed);
+///   - NetDisconnect    read-chunk boundaries in the server's reactor —
+///                      the connection is dropped abruptly,
 ///                      orphaning any in-flight job (disconnect-mid-job;
 ///                      the client sees an unannounced close and must
 ///                      reconnect and retry).
@@ -101,16 +102,15 @@ struct FaultConfig {
   /// throw/delay decisions). Lets a test gate a worker on a condition
   /// variable to build deterministic queue states. Must be thread-safe.
   std::function<void(FaultSite)> StageHook;
-  /// NetTornWrite: probability one sendAll() cuts the frame short and
-  /// fails (the peer sees a truncated frame, then EOF).
+  /// NetTornWrite: probability one server frame is cut short and its
+  /// connection closed (the peer sees a truncated frame, then EOF).
   double TornWriteRate = 0;
   /// NetReadDelay: probability one recvSome() sleeps NetReadDelayMicros
   /// before reading (deterministic slow-client construction).
   double NetReadDelayRate = 0;
   unsigned NetReadDelayMicros = 0;
-  /// NetDisconnect: probability a chunk boundary in the server's
-  /// connection reader drops the connection abruptly, orphaning any
-  /// in-flight job.
+  /// NetDisconnect: probability a read-chunk boundary in the server
+  /// drops the connection abruptly, orphaning any in-flight job.
   double NetDisconnectRate = 0;
 };
 
@@ -151,7 +151,7 @@ public:
   /// may sleep, may throw InjectedFault. Defined in FaultInjector.cpp.
   void stagePoint(FaultSite Site);
 
-  /// sendAll fault point; true = cut the write short and fail it.
+  /// Server send fault point; true = cut the frame short and hang up.
   bool tearWrite() {
     bool Fire = decide(FaultSite::NetTornWrite, Cfg.TornWriteRate);
     if (Fire)
@@ -163,7 +163,7 @@ public:
   /// FaultInjector.cpp (it needs <thread>).
   void readDelayPoint();
 
-  /// Server connection-reader fault point; true = drop the connection now.
+  /// Server read-chunk fault point; true = drop the connection now.
   bool dropConnection() {
     bool Fire = decide(FaultSite::NetDisconnect, Cfg.NetDisconnectRate);
     if (Fire)

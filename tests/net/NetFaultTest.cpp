@@ -20,7 +20,12 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <atomic>
+#include <chrono>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <thread>
 
 using namespace mpc;
@@ -47,7 +52,6 @@ std::string localDump(uint64_t Seed, double Scale = 0.02) {
 ServerConfig serverConfig() {
   ServerConfig Cfg;
   Cfg.Service.Threads = 2;
-  Cfg.PollMs = 10;
   return Cfg;
 }
 
@@ -224,15 +228,27 @@ TEST(NetFaultTest, WriteTimeoutBoundsAStalledPeer) {
 
 TEST(NetFaultTest, StalledReaderDoesNotWedgeTheServer) {
   ServerConfig Cfg = serverConfig();
-  Cfg.WriteTimeoutMs = 200;
+  Cfg.WriteTimeoutMs = 5000;
+  const auto Bound = std::chrono::milliseconds(Cfg.WriteTimeoutMs / 2);
   CompileServer Server(std::move(Cfg));
   std::string Err;
   ASSERT_TRUE(Server.start(Err)) << Err;
 
-  // A rude peer: sends dump-heavy requests, never reads a byte back.
-  std::string RudeErr;
-  Socket Rude = connectTcp(Server.port(), 2000, RudeErr);
-  ASSERT_TRUE(Rude.valid()) << RudeErr;
+  // A rude peer: sends dump-heavy requests, never reads a byte back. Its
+  // receive buffer is shrunk before connecting, so the ~4 MiB of
+  // responses it is owed cannot all sit in kernel buffers.
+  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(Fd, 0);
+  Socket Rude(Fd);
+  int Small = 4096;
+  ASSERT_EQ(::setsockopt(Fd, SOL_SOCKET, SO_RCVBUF, &Small, sizeof(Small)), 0);
+  sockaddr_in Addr{};
+  Addr.sin_family = AF_INET;
+  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  Addr.sin_port = htons(Server.port());
+  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
+            0);
+  ::fcntl(Fd, F_SETFL, ::fcntl(Fd, F_GETFL, 0) | O_NONBLOCK);
   std::vector<uint8_t> Bytes;
   encodeHello(Bytes, WireHello{});
   for (uint64_t I = 1; I <= 6; ++I) {
@@ -244,15 +260,44 @@ TEST(NetFaultTest, StalledReaderDoesNotWedgeTheServer) {
   }
   ASSERT_TRUE(sendAll(Rude.fd(), Bytes.data(), Bytes.size(), 5000));
 
-  // Meanwhile polite clients must keep getting answers promptly — the
-  // rude peer can cost at most WriteTimeoutMs per owed response, never a
-  // wedged worker.
-  expectByteIdenticalRound(Server.port(), 70);
-  expectByteIdenticalRound(Server.port(), 71);
+  // Once 2 MiB of answers sit in the kernel buffers (which hold about
+  // 3 MB on loopback), the rude peer's remaining responses cannot be
+  // written until it reads.
+  auto Filled = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (Server.snapshot().BytesWritten < (2u << 20) &&
+         std::chrono::steady_clock::now() < Filled)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_GE(Server.snapshot().BytesWritten, 2u << 20);
+
+  // Meanwhile polite clients must keep getting answers promptly: no
+  // worker ever waits on the rude peer's socket, so a round costs compile
+  // time, not WriteTimeoutMs. Interactive requests wait only for the rude
+  // jobs already running, not for the rude peer's whole queue.
+  for (uint64_t Seed : {70u, 71u}) {
+    std::string Reference = localDump(Seed);
+    ClientConfig CC;
+    CC.Port = Server.port();
+    CompileClient Client(CC);
+    WireRequest Req;
+    Req.ReqId = 777;
+    Req.WantDump = true;
+    Req.Interactive = true;
+    Req.Sources = workload(Seed);
+    WireResponse Resp;
+    auto Start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(Client.compile(Req, Resp, Err)) << Err;
+    EXPECT_LT(std::chrono::steady_clock::now() - Start, Bound)
+        << "polite round " << Seed << " waited on the stalled peer";
+    EXPECT_EQ(Resp.DumpText, Reference);
+    Client.close();
+  }
 
   Rude.close();
+  auto Start = std::chrono::steady_clock::now();
   Server.requestDrain();
   Server.waitDrained();
+  EXPECT_LT(std::chrono::steady_clock::now() - Start, Bound)
+      << "drain waited on the stalled peer";
 }
 
 TEST(NetFaultTest, CombinedFaultMatrixUnderLoad) {

@@ -5,6 +5,9 @@
 // as RetryAfter (and the client's backoff machinery recovers), responses
 // flow out of order per connection, graceful drain answers everything it
 // admitted, and idle connections are reaped (unless kept alive by Ping).
+// The server's one reactor thread is pinned too: a connection flood adds
+// no threads, and fd exhaustion at accept() neither spins nor stops the
+// connections already open from being served.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,8 +18,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <dirent.h>
+#include <fcntl.h>
 #include <map>
+#include <sys/resource.h>
 #include <thread>
 
 using namespace mpc;
@@ -55,7 +63,6 @@ struct TestServer {
   static ServerConfig base() {
     ServerConfig Cfg;
     Cfg.Service.Threads = 2;
-    Cfg.PollMs = 10;
     return Cfg;
   }
 };
@@ -116,6 +123,69 @@ void pipelineRaw(uint16_t Port, const std::vector<WireRequest> &Reqs,
       break;
     Reader.feed(Buf, Got);
   }
+}
+
+/// Entries of a /proc/self directory, '.' and '..' excluded.
+std::vector<int> procEntries(const char *Dir) {
+  std::vector<int> Out;
+  DIR *D = ::opendir(Dir);
+  if (!D)
+    return Out;
+  while (dirent *E = ::readdir(D))
+    if (E->d_name[0] != '.')
+      Out.push_back(std::atoi(E->d_name));
+  ::closedir(D);
+  return Out;
+}
+
+size_t threadCount() { return procEntries("/proc/self/task").size(); }
+
+/// One past the highest open fd.
+int fdCeiling() {
+  std::vector<int> Fds = procEntries("/proc/self/fd");
+  return Fds.empty() ? 0 : *std::max_element(Fds.begin(), Fds.end()) + 1;
+}
+
+/// Sets the soft RLIMIT_NOFILE for one scope, restoring it on exit (also
+/// when an assertion bails out of the test).
+struct ScopedFdLimit {
+  rlimit Saved{};
+  bool Ok = false;
+  explicit ScopedFdLimit(rlim_t Soft) {
+    if (::getrlimit(RLIMIT_NOFILE, &Saved) != 0)
+      return;
+    rlimit L = Saved;
+    L.rlim_cur = std::min(Soft, Saved.rlim_max);
+    Ok = ::setrlimit(RLIMIT_NOFILE, &L) == 0;
+  }
+  ~ScopedFdLimit() { ::setrlimit(RLIMIT_NOFILE, &Saved); }
+};
+
+double cpuSeconds() {
+  rusage U{};
+  ::getrusage(RUSAGE_SELF, &U);
+  auto Sec = [](const timeval &T) { return T.tv_sec + T.tv_usec / 1e6; };
+  return Sec(U.ru_utime) + Sec(U.ru_stime);
+}
+
+/// One compile through a fresh client, checked against \p Local.
+void expectFreshClientCompiles(uint16_t Port,
+                               const std::vector<SourceInput> &Sources,
+                               const BatchResult &Local) {
+  ClientConfig CC;
+  CC.Port = Port;
+  CompileClient Client(CC);
+  WireRequest Req;
+  Req.ReqId = 1;
+  Req.WantDump = true;
+  Req.Sources = Sources;
+  WireResponse Resp;
+  std::string Err;
+  ASSERT_TRUE(Client.compile(Req, Resp, Err)) << Err;
+  EXPECT_EQ(Resp.Status, WireStatus::Ok);
+  EXPECT_EQ(Resp.DumpText, Local.DumpText);
+  EXPECT_EQ(Resp.DiagText, Local.DiagText);
+  Client.close();
 }
 
 } // namespace
@@ -379,7 +449,6 @@ TEST(NetServiceTest, DrainWithNoTrafficCompletesQuickly) {
 TEST(NetServiceTest, IdleConnectionsAreReaped) {
   ServerConfig Cfg = TestServer::base();
   Cfg.IdleTimeoutMs = 100;
-  Cfg.PollMs = 20;
   TestServer TS(Cfg);
 
   std::string Err;
@@ -406,7 +475,6 @@ TEST(NetServiceTest, IdleConnectionsAreReaped) {
 TEST(NetServiceTest, PingDefeatsIdleReaping) {
   ServerConfig Cfg = TestServer::base();
   Cfg.IdleTimeoutMs = 150;
-  Cfg.PollMs = 20;
   TestServer TS(Cfg);
 
   ClientConfig CC;
@@ -448,4 +516,115 @@ TEST(NetServiceTest, BackoffHonorsServerHintAndCap) {
   CompileClient Client2(CC);
   for (uint32_t A = 0; A < 5; ++A)
     EXPECT_EQ(Client.backoffMillis(A, 0), Client2.backoffMillis(A, 0));
+}
+
+TEST(NetServiceTest, ConnectionFloodAddsNoThreads) {
+  const size_t Flood = 1000;
+  // Two fds per connection (ours and the server's), plus headroom.
+  const rlim_t Need = rlim_t(fdCeiling()) + 2 * Flood + 64;
+  rlimit Cur{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &Cur), 0);
+  if (Cur.rlim_max != RLIM_INFINITY && Cur.rlim_max < Need)
+    GTEST_SKIP() << "hard RLIMIT_NOFILE " << Cur.rlim_max << " < " << Need;
+  ScopedFdLimit Limit(Cur.rlim_cur < Need ? Cur.rlim_max : Cur.rlim_cur);
+  ASSERT_TRUE(Limit.Ok);
+
+  std::vector<SourceInput> Sources = workload(31);
+  BatchResult Local = localCompile(Sources);
+  TestServer TS(TestServer::base());
+  const size_t Threads = threadCount();
+
+  std::vector<uint8_t> Hello;
+  encodeHello(Hello, WireHello{});
+  std::vector<Socket> Peers;
+  for (size_t I = 0; I < Flood; ++I) {
+    std::string Err;
+    Socket S = connectTcp(TS.Port, 5000, Err);
+    ASSERT_TRUE(S.valid()) << "connection " << I << ": " << Err;
+    ASSERT_TRUE(sendAll(S.fd(), Hello.data(), Hello.size(), 2000));
+    Peers.push_back(std::move(S));
+  }
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (TS.Server.snapshot().FramesRead < Flood &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(TS.Server.liveConnections(), Flood);
+  EXPECT_EQ(TS.Server.snapshot().FramesRead, Flood);
+  // One thread serves them all: the count is what it was before the flood.
+  EXPECT_EQ(threadCount(), Threads);
+
+  expectFreshClientCompiles(TS.Port, Sources, Local);
+  EXPECT_EQ(threadCount(), Threads);
+
+  TS.Server.requestDrain();
+  TS.Server.waitDrained();
+  EXPECT_EQ(TS.Server.liveConnections(), 0u);
+}
+
+TEST(NetServiceTest, AcceptAtTheFdLimitDoesNotSpin) {
+  std::vector<SourceInput> Sources = workload(21);
+  BatchResult Local = localCompile(Sources);
+  TestServer TS(TestServer::base());
+
+  std::vector<Socket> Clients;
+  bool Refused = false;
+  {
+    // Held back so exactly one fd can be freed when our own socket()
+    // hits the limit first: the next connection is then ours, and the
+    // server's accept() finds no fd.
+    Socket Spare(::open("/dev/null", O_RDONLY));
+    ASSERT_TRUE(Spare.valid());
+    ScopedFdLimit Limit(rlim_t(fdCeiling()) + 8);
+    ASSERT_TRUE(Limit.Ok);
+    for (int I = 0; I < 64 && !Refused; ++I) {
+      std::string Err;
+      Socket C = connectTcp(TS.Port, 2000, Err);
+      if (!C.valid()) {
+        ASSERT_TRUE(Spare.valid()) << Err;
+        Spare.close();
+        continue;
+      }
+      Clients.push_back(std::move(C));
+      auto Deadline =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+      while (TS.Server.snapshot().ConnectionsAccepted < Clients.size() &&
+             std::chrono::steady_clock::now() < Deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      Refused = TS.Server.snapshot().ConnectionsAccepted < Clients.size();
+    }
+    ASSERT_TRUE(Refused) << "the server's accept() never ran out of fds";
+
+    // A queued connection the server cannot take keeps the listener
+    // readable; idling here must not cost a busy core.
+    double Cpu0 = cpuSeconds();
+    auto Wall0 = std::chrono::steady_clock::now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    double Cpu = cpuSeconds() - Cpu0;
+    double Wall = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - Wall0)
+                      .count();
+    EXPECT_LT(Cpu, 0.5 * Wall) << "accept loop spun at the fd limit";
+
+    for (size_t I = 0; I < 4 && !Clients.empty(); ++I)
+      Clients.pop_back();
+  }
+
+  // Fds are back: the server accepts again and still compiles correctly.
+  expectFreshClientCompiles(TS.Port, Sources, Local);
+}
+
+TEST(NetServiceTest, BlockingAdmissionWithABoundedQueueIsRefused) {
+  // A full bounded queue would block tryEnqueue() — on the reactor, that
+  // stalls every connection — so start() refuses the combination.
+  ServerConfig Cfg = TestServer::base();
+  Cfg.Service.MaxQueueDepth = 4;
+  Cfg.Service.Policy = QueuePolicy::Block;
+  CompileServer Server(Cfg);
+  std::string Err;
+  EXPECT_FALSE(Server.start(Err));
+  EXPECT_NE(Err.find("Block"), std::string::npos) << Err;
+
+  // The default, Block over an unbounded queue, never blocks.
+  CompileServer Default(TestServer::base());
+  EXPECT_TRUE(Default.start(Err)) << Err;
 }

@@ -3,7 +3,7 @@
 // mpc_served: the long-lived compile server binary.
 //
 //   mpc_served [--port N] [--threads N] [--queue-depth N]
-//              [--policy reject|shed|block] [--max-inflight N]
+//              [--policy reject|shed] [--max-inflight N]
 //              [--idle-timeout-ms N] [--cache-mb N]
 //
 // Prints "listening on 127.0.0.1:<port>" once the socket is bound (with
@@ -75,8 +75,6 @@ int main(int Argc, char **Argv) {
         Cfg.Service.Policy = QueuePolicy::RejectNewest;
       else if (P == "shed")
         Cfg.Service.Policy = QueuePolicy::ShedOldest;
-      else if (P == "block")
-        Cfg.Service.Policy = QueuePolicy::Block;
       else {
         std::fprintf(stderr, "mpc_served: unknown policy '%s'\n",
                      P.c_str());
