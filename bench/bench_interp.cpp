@@ -13,7 +13,7 @@
 
 #include "BenchCommon.h"
 
-#include "backend/Execution.h"
+#include "backend/Interpreter.h"
 #include "backend/Linker.h"
 #include "backend/VM.h"
 

@@ -86,7 +86,6 @@ int main() {
   // an unbounded queue, so the sweep measures the configured service,
   // not an idealized infinite buffer.
   Cfg.Service.MaxQueueDepth = 64;
-  Cfg.Service.Policy = QueuePolicy::RejectNewest;
   CompileServer Server(std::move(Cfg));
   std::string Err;
   if (!Server.start(Err)) {

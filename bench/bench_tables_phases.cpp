@@ -36,7 +36,7 @@ int main() {
 
   std::printf("\nTable 1 analogue — the legacy (scalac-like) pass list: "
               "every phase is its own whole-tree traversal\n\n");
-  PhasePlan Legacy = makeLegacyPlan(Errors);
+  PhasePlan Legacy = makeStandardPlan(/*Fuse=*/false, Errors);
   Legacy.print(outs());
   std::printf("\n  %zu phases = %zu traversals (paper: scalac 2.12 runs "
               "24 passes)\n",
@@ -55,7 +55,7 @@ int main() {
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
     Timer T;
     PhasePlan F = makeStandardPlan(true, Errors);
-    PhasePlan L = makeLegacyPlan(Errors);
+    PhasePlan L = makeStandardPlan(/*Fuse=*/false, Errors);
     BuildSec.push_back(T.elapsedSeconds());
     (void)F;
     (void)L;

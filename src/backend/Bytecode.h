@@ -4,8 +4,9 @@
 /// A compact stack-machine bytecode (the GenBCode analogue). The code
 /// generator lowers the fully transformed trees into this form; the
 /// bytecode is the compiler's final product and its size/shape is checked
-/// by tests. (Semantic execution for differential testing happens on the
-/// lowered trees, see Interpreter.h.)
+/// by tests. linkProgram (Linker.h) verifies and links it for the VM;
+/// the tree-walking Interpreter runs the lowered trees as the oracle the
+/// VM must match.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -117,9 +118,9 @@ struct ClassFile {
   }
 };
 
-/// One bytecode-verifier diagnostic (produced by backend/Verifier.h,
-/// carried on the Program so callers see structural codegen bugs as
-/// typed failures instead of VM crashes).
+/// One bytecode-verifier diagnostic (produced by backend/Verifier.h and
+/// collected on LinkedProgram::Failures, so callers see structural
+/// codegen bugs as typed failures instead of VM crashes).
 struct VerifyFailure {
   Symbol *Method = nullptr;
   uint32_t Pc = 0;
@@ -130,9 +131,6 @@ struct VerifyFailure {
 struct Program {
   std::vector<ClassFile> Classes;
   std::vector<Symbol *> EntryPoints;
-  /// Filled by generateCode when CompilerOptions::VerifyBytecode is set
-  /// (tests run the verifier unconditionally via verifyProgram).
-  std::vector<VerifyFailure> VerifyFailures;
 
   uint64_t totalInstructions() const {
     uint64_t N = 0;

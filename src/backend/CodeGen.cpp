@@ -1,7 +1,6 @@
 #include "backend/CodeGen.h"
 
 #include "ast/TreeUtils.h"
-#include "backend/Verifier.h"
 
 #include <cassert>
 #include <map>
@@ -485,9 +484,5 @@ Program mpc::generateCode(const std::vector<CompilationUnit> &Units,
       Prog.Classes.push_back(std::move(CF));
     }
   }
-  // Debug option: catch structural codegen bugs here as typed failures
-  // instead of VM crashes later. Test suites verify unconditionally.
-  if (Comp.options().VerifyBytecode)
-    Prog.VerifyFailures = verifyProgram(Prog);
   return Prog;
 }

@@ -5,9 +5,10 @@
 /// instruction stream and rejects structurally broken code before it can
 /// reach the VM: jump targets out of range, fall-through off the end of
 /// the method, operand-stack underflow or depth mismatches at merge
-/// points, and malformed exception-handler ranges. CodeGen runs it under
-/// CompilerOptions::VerifyBytecode; the VM test suites run it on every
-/// compiled program.
+/// points, and malformed exception-handler ranges. linkProgram runs it
+/// on every method it links, and the VM refuses a program with any
+/// failure, so the linker is the one verify site on the execution path;
+/// verifyProgram is the same check without linking, for tests.
 ///
 /// As a by-product the verifier computes each method's maximum operand
 /// stack depth and the stack depth at every handler's protected-range

@@ -7,6 +7,11 @@
 /// miniphases vs. one-traversal-per-phase ("Megaphase" split), and the
 /// legacy always-copy mode used by the scalac baseline of Figure 9.
 ///
+/// The options configure compilation only. Running the compiled program
+/// is not an option: callers construct the tree-walking Interpreter, or
+/// linkProgram + VM, themselves, and the linker is the one place the
+/// bytecode verifier runs.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MPC_CORE_COMPILERCONTEXT_H
@@ -36,12 +41,6 @@ enum class FusionStrategy {
   /// into the new kind's list (paper's optimizations 1 + 2).
   IndexedByKind,
 };
-
-/// Which engine executes guest programs after compilation (driver,
-/// fuzzer, differential tests): the definitional tree-walker or the
-/// direct-threaded bytecode VM. The tree-walker stays the semantic
-/// oracle; the VM must match it byte for byte.
-enum class ExecEngine : uint8_t { TreeWalk, VM };
 
 /// Tunable behaviour, mirroring the evaluation's configurations.
 struct CompilerOptions {
@@ -76,15 +75,6 @@ struct CompilerOptions {
   /// reset() — the backend cannot change while the heap holds
   /// allocations.
   bool SlabHeap = true;
-  /// Run the bytecode verifier over generateCode's output (jump targets,
-  /// stack balance, handler well-formedness) and record failures on
-  /// Program::VerifyFailures. A debug option, off by default; the VM
-  /// test suites verify unconditionally.
-  bool VerifyBytecode = false;
-  /// Guest-execution engine for post-compile runs routed through
-  /// backend/Execution.h (executeProgram honors this unless the caller
-  /// overrides it explicitly).
-  ExecEngine Engine = ExecEngine::TreeWalk;
   FusionStrategy Strategy = FusionStrategy::IndexedByKind;
 };
 

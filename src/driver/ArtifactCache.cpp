@@ -49,7 +49,7 @@ bool ArtifactCache::corruptEntryForTest(const JobKey &Key) {
 void ArtifactCache::insert(const JobKey &Key, CachedArtifact Artifact) {
   size_t Bytes = artifactBytes(Artifact);
   std::lock_guard<std::mutex> Lock(M);
-  if ((Artifact.HadErrors && !Cfg.CacheErrors) || Bytes > Cfg.MaxBytes) {
+  if (Bytes > Cfg.MaxBytes) {
     ++NumRejected;
     return;
   }

@@ -17,8 +17,8 @@
 /// Replay is byte-exact: the stored payload is precisely what the
 /// service's miss path produced, so a cache-hit drain is
 /// byte-identical to a cache-disabled run (pinned by CompileServiceTest
-/// at several worker counts). Error results replay too — diagnostics are
-/// deterministic text — unless CacheConfig::CacheErrors turns that off.
+/// at several worker counts). Error results are cached and replay too —
+/// diagnostics are deterministic text.
 ///
 /// Capacity is bounded by CacheConfig::MaxBytes with strict LRU
 /// eviction: every insert that would exceed the cap evicts from the cold
@@ -47,10 +47,6 @@ struct CacheConfig {
   /// Total payload budget; strict LRU eviction keeps bytes() <= MaxBytes.
   /// An artifact larger than the whole budget is never inserted.
   size_t MaxBytes = 64ull << 20;
-  /// Cache jobs that failed with diagnostics. Replay is deterministic
-  /// (the rendered text is stored), but services that want failures to
-  /// re-run the real pipeline every time can turn this off.
-  bool CacheErrors = true;
 };
 
 /// What the cache stores and replays: a finished BatchResult, copied
@@ -79,8 +75,7 @@ public:
 
   /// Installs \p Artifact under \p Key (replacing any previous entry),
   /// then evicts cold entries until bytes() <= MaxBytes. Skipped — and
-  /// counted as rejected — when the artifact alone exceeds MaxBytes or
-  /// when it carries errors and CacheErrors is off.
+  /// counted as rejected — when the artifact alone exceeds MaxBytes.
   void insert(const JobKey &Key, CachedArtifact Artifact);
 
   /// Lifetime counters plus current occupancy (snapshot under the lock).

@@ -29,10 +29,6 @@ using namespace mpc;
 //     SubtreePruning   observationally identical, but mixed anyway so the
 //                      pruning ablation never shares entries (conservative)
 //     Strategy         dispatch strategy, mixed conservatively
-//     VerifyBytecode   fills Program::VerifyFailures; callers reading
-//                      verifier output must never replay an entry from a
-//                      non-verified job (conservative — rendered text is
-//                      identical today)
 //
 //   Cache-IRRELEVANT (excluded deliberately):
 //     SlabHeap         selects the real-storage backend only; the
@@ -40,11 +36,8 @@ using namespace mpc;
 //                      byte-identical either way (pinned by the
 //                      SlabAllocatorTest invariance suite), so slab-on
 //                      and slab-off jobs may share one cache entry.
-//     Engine           selects which engine executes the program AFTER
-//                      compilation (tree-walker vs bytecode VM); the
-//                      cached artifact is the compile output, which is
-//                      identical either way, and the VM differential
-//                      suite pins engine-equivalence of the execution.
+//
+// Still 12 bytes: six bools, 2 bytes of padding, the 4-byte FusionStrategy.
 static_assert(sizeof(CompilerOptions) == 12,
               "CompilerOptions changed: audit the cache-relevance lists "
               "above, extend optionsFingerprint(), then update this size");
@@ -52,14 +45,13 @@ static_assert(sizeof(CompilerOptions) == 12,
 namespace {
 
 Fingerprint optionsFingerprint(const CompilerOptions &O) {
-  const unsigned char Bits[7] = {
+  const unsigned char Bits[6] = {
       static_cast<unsigned char>(O.FuseMiniphases),
       static_cast<unsigned char>(O.CheckTrees),
       static_cast<unsigned char>(O.AlwaysCopy),
       static_cast<unsigned char>(O.IdentitySkip),
       static_cast<unsigned char>(O.SubtreePruning),
       static_cast<unsigned char>(O.Strategy),
-      static_cast<unsigned char>(O.VerifyBytecode),
   };
   return fingerprintBytes(Bits, sizeof(Bits));
 }

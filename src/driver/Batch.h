@@ -33,7 +33,7 @@ namespace mpc {
 /// Scheduling class of a job in the compile service's admission queue.
 /// Interactive jobs (IDE requests, incremental rebuilds) jump ahead of
 /// Batch jobs, subject to the anti-starvation burst cap
-/// (ServiceConfig::InteractiveBurst).
+/// (CompileService::InteractiveBurst).
 enum class JobPriority : uint8_t {
   Interactive,
   Batch,

@@ -121,10 +121,8 @@ void CompileService::stop() {
     std::lock_guard<std::mutex> Lock(M);
     Stopping = true;
   }
-  // Wake everyone: workers drain the already-admitted queue and exit;
-  // Block-policy producers waiting for space fail their admission.
+  // Wake every worker: each drains the already-admitted queue and exits.
   QueueCv.notify_all();
-  SpaceCv.notify_all();
   // The join phase is guarded separately (never under M — workers need M
   // to finish) and is idempotent: a second stop(), or the destructor
   // after an explicit stop(), finds nothing joinable.
@@ -168,18 +166,11 @@ AdmitResult CompileService::tryEnqueue(BatchJob Job) {
   // Jobs displaced by ShedOldest; completed once M is released.
   std::vector<QueuedJob> Shed;
   {
-    std::unique_lock<std::mutex> Lock(M);
+    std::lock_guard<std::mutex> Lock(M);
     if (Stopping)
       return A; // refused: no id, no result owed
     if (Cfg.MaxQueueDepth != 0 && queueDepthLocked() >= Cfg.MaxQueueDepth) {
       switch (Cfg.Policy) {
-      case QueuePolicy::Block:
-        SpaceCv.wait(Lock, [this] {
-          return Stopping || queueDepthLocked() < Cfg.MaxQueueDepth;
-        });
-        if (Stopping)
-          return A;
-        break;
       case QueuePolicy::RejectNewest:
         // The arrival is refused but still owns an id: its Rejected
         // result completes below, so the id sequence has no gaps.
@@ -251,7 +242,7 @@ void CompileService::workerMain(unsigned WorkerIdx) {
       // lane gets the next slot (anti-starvation).
       bool TakeBatch =
           !BatchLane.empty() &&
-          (InteractiveLane.empty() || SinceBatch >= Cfg.InteractiveBurst);
+          (InteractiveLane.empty() || SinceBatch >= InteractiveBurst);
       std::deque<QueuedJob> &Lane = TakeBatch ? BatchLane : InteractiveLane;
       if (TakeBatch)
         SinceBatch = 0;
@@ -264,8 +255,6 @@ void CompileService::workerMain(unsigned WorkerIdx) {
       Seq = DequeueCounter++;
       QueueWait = secondsSince(QJ.EnqueuedAt);
     }
-    // A slot opened up for a Block-policy producer.
-    SpaceCv.notify_one();
 
     BatchResult Result;
     double Deadline = Job.DeadlineSec;

@@ -12,9 +12,10 @@
 ///      anti-starvation burst cap); each worker dequeues ONE job at a
 ///      time, so scheduling is load-balanced rather than sliced. The
 ///      queue is optionally bounded (ServiceConfig::MaxQueueDepth):
-///      arrivals at a full queue block, are rejected, or shed the oldest
-///      queued job (QueuePolicy), and refused jobs complete as
-///      JobStatus::Rejected — overload degrades answers, never delivery.
+///      arrivals at a full queue are rejected or shed the oldest queued
+///      job (QueuePolicy) — admission never blocks the caller — and
+///      refused jobs complete as JobStatus::Rejected: overload degrades
+///      answers, never delivery.
 ///
 ///   1b. Deadlines and fault containment. A job's soft deadline
 ///      (BatchJob::DeadlineSec, measured from enqueue) is enforced by
@@ -116,11 +117,8 @@ private:
 };
 
 /// What the service does when a job arrives at a full queue
-/// (ServiceConfig::MaxQueueDepth).
+/// (ServiceConfig::MaxQueueDepth). Neither policy blocks the caller.
 enum class QueuePolicy : uint8_t {
-  /// tryEnqueue() blocks until a worker frees a slot (or the service
-  /// stops). The closed-loop default: producers self-throttle.
-  Block,
   /// The arriving job is refused: it still gets an id and completes
   /// immediately with JobStatus::Rejected.
   RejectNewest,
@@ -151,14 +149,10 @@ struct ServiceConfig {
   /// Worker threads; 0 = hardware concurrency (min 1).
   unsigned Threads = 0;
   /// Admission bound: queued-but-not-running jobs the service holds
-  /// before Policy kicks in. 0 = unbounded (the historical behavior).
+  /// before Policy kicks in. 0 = unbounded: every job is admitted.
   size_t MaxQueueDepth = 0;
-  /// What to do with arrivals at a full queue.
-  QueuePolicy Policy = QueuePolicy::Block;
-  /// Anti-starvation cap for the priority lanes: after this many
-  /// consecutive interactive dequeues while batch work waits, the next
-  /// dequeue takes from the batch lane regardless.
-  unsigned InteractiveBurst = 3;
+  /// What to do with arrivals at a full queue (no effect while unbounded).
+  QueuePolicy Policy = QueuePolicy::RejectNewest;
   /// Warm contexts: recycle CompilerContext shells between jobs through
   /// the ContextPool, with a service-owned PagePool shared by all shells
   /// so slab pages mapped by one job serve the next. Off: every job gets
@@ -185,15 +179,21 @@ struct ServiceConfig {
 /// The persistent compile service.
 class CompileService {
 public:
+  /// Anti-starvation cap for the priority lanes: after this many
+  /// consecutive interactive dequeues while batch work waits, the next
+  /// dequeue takes from the batch lane regardless.
+  static constexpr unsigned InteractiveBurst = 3;
+
   explicit CompileService(ServiceConfig Config = ServiceConfig());
   CompileService(const CompileService &) = delete;
   CompileService &operator=(const CompileService &) = delete;
   /// Equivalent to stop(): finishes already-admitted jobs, then joins.
   ~CompileService();
 
-  /// Admission-controlled enqueue; legal at any time, from any thread.
-  /// Applies MaxQueueDepth/Policy at a full queue and reports what
-  /// happened. After stop() the job is refused with Id == InvalidJobId.
+  /// Admission-controlled enqueue; legal at any time, from any thread,
+  /// and never blocks. Applies MaxQueueDepth/Policy at a full queue and
+  /// reports what happened. After stop() the job is refused with
+  /// Id == InvalidJobId.
   AdmitResult tryEnqueue(BatchJob Job);
 
   /// Queues a job; legal at any time, including while workers are busy
@@ -288,7 +288,6 @@ private:
   mutable std::mutex M;
   std::condition_variable QueueCv; // workers: queue non-empty or stopping
   std::condition_variable DoneCv;  // drain(): a job completed
-  std::condition_variable SpaceCv; // Block-policy producers: a slot freed
   /// The admission queue, split by JobPriority. Workers prefer the
   /// interactive lane; SinceBatch enforces the InteractiveBurst cap so
   /// the batch lane cannot starve.

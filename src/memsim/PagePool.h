@@ -13,8 +13,8 @@
 /// and go while the pool (owned by the CompileService) keeps the memory
 /// alive.
 ///
-/// Inventory is bounded: PagePoolConfig::MaxPages caps how many pages the
-/// pool keeps; a put() beyond the cap frees the page back to the system
+/// Inventory is bounded: PagePool::MaxPages caps how many pages the pool
+/// keeps; a put() beyond the cap frees the page back to the system
 /// ("trim", counted in Stats::PagesTrimmed), so one burst of large jobs
 /// cannot pin its peak footprint for the life of the service.
 ///
@@ -35,21 +35,15 @@
 
 namespace mpc {
 
-/// Pool sizing policy.
-struct PagePoolConfig {
-  /// Pages the pool may hold at once. A put() that would exceed the cap
-  /// frees the page to the system instead ("trim"), so idle inventory is
-  /// bounded: a burst of large jobs can no longer pin its peak footprint
-  /// forever. 0 = unbounded (the pre-cap behavior). The default caps the
-  /// pool at 1024 x 64 KiB = 64 MiB.
-  size_t MaxPages = 1024;
-};
-
 /// Mutex-guarded stack of page-sized blocks (see SlabAllocator::PageBytes).
 class PagePool {
 public:
-  explicit PagePool(PagePoolConfig Config = PagePoolConfig())
-      : Cfg(Config) {}
+  /// Pages the pool may hold at once: 1024 x 64 KiB = 64 MiB. A put()
+  /// that would exceed the cap frees the page to the system instead
+  /// ("trim"), so a burst of large jobs cannot pin its peak footprint.
+  static constexpr size_t MaxPages = 1024;
+
+  PagePool() = default;
   PagePool(const PagePool &) = delete;
   PagePool &operator=(const PagePool &) = delete;
   ~PagePool() {
@@ -78,7 +72,7 @@ public:
   /// at MaxPages, the page is trimmed (freed to the system) instead.
   void put(void *Page) {
     std::lock_guard<std::mutex> Lock(M);
-    if (Cfg.MaxPages != 0 && Pages.size() >= Cfg.MaxPages) {
+    if (Pages.size() >= MaxPages) {
       std::free(Page);
       ++NumTrimmed;
       return;
@@ -92,8 +86,6 @@ public:
     std::lock_guard<std::mutex> Lock(M);
     return Pages.size();
   }
-
-  const PagePoolConfig &config() const { return Cfg; }
 
   /// Lifetime traffic counters (snapshot under the lock).
   struct Stats {
@@ -110,7 +102,6 @@ public:
 
 private:
   mutable std::mutex M;
-  PagePoolConfig Cfg;
   std::vector<void *> Pages;
   uint64_t NumPut = 0;
   uint64_t NumTaken = 0;

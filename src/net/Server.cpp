@@ -26,12 +26,6 @@ CompileServer::~CompileServer() {
 }
 
 bool CompileServer::start(std::string &Err) {
-  if (Cfg.Service.Policy == QueuePolicy::Block &&
-      Cfg.Service.MaxQueueDepth > 0) {
-    Err = "QueuePolicy::Block with a bounded queue would stall the event "
-          "loop; use RejectNewest or ShedOldest";
-    return false;
-  }
   uint16_t Port = Cfg.Port;
   Listener = listenTcp(Port, Err);
   if (!Listener.valid())

@@ -60,7 +60,8 @@ struct ServerConfig {
   /// TCP port on 127.0.0.1; 0 = ephemeral (read back via port()).
   uint16_t Port = 0;
   /// The wrapped compile service. OnResult must stay unset (the server
-  /// installs its own); start() refuses Block over a bounded queue.
+  /// installs its own). Admission never blocks, so the reactor's
+  /// tryEnqueue() call cannot stall the event loop.
   ServiceConfig Service;
   /// Wire-format caps handed to every connection's FrameReader.
   Limits Lim;

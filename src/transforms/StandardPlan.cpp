@@ -57,12 +57,6 @@ PhasePlan mpc::makeCustomizedPlan(bool Fuse,
   return PhasePlan::build(std::move(Phases), Fuse, Errors);
 }
 
-PhasePlan mpc::makeLegacyPlan(std::vector<std::string> &Errors) {
-  // The scalac-style pipeline: same transformations, no fusion (each phase
-  // re-traverses every tree, like Table 1's 24 passes).
-  return makeStandardPlan(/*Fuse=*/false, Errors);
-}
-
 CollectEntryPointsPhase *mpc::findEntryPoints(const PhasePlan &Plan) {
   for (Phase *P : Plan.phases())
     if (P->name() == "CollectEntryPoints")

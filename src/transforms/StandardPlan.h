@@ -2,8 +2,9 @@
 ///
 /// \file
 /// Pipeline assembly: the standard (Dotty-like, Table 2) phase plan with
-/// its six fusion blocks plus the Erasure megaphase, and the legacy
-/// (scalac-like, Table 1) plan used by the Figure 9 baseline.
+/// its six fusion blocks plus the Erasure megaphase. Built unfused, the
+/// same plan is the legacy (scalac-like, Table 1) pass list of the
+/// Figure 9 baseline: every phase its own traversal.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,11 +37,6 @@ using PlanCustomizer =
 /// standard phase: extending the pipeline costs no extra traversal.
 PhasePlan makeCustomizedPlan(bool Fuse, std::vector<std::string> &Errors,
                              const PlanCustomizer &Customize);
-
-/// Builds the scalac-like legacy plan: the same transformations arranged
-/// in Table 1 style (hand-fused groups, run unfused). Used with
-/// CompilerOptions::AlwaysCopy as the Figure 9 baseline.
-PhasePlan makeLegacyPlan(std::vector<std::string> &Errors);
 
 /// Returns the CollectEntryPoints phase of a plan (for the backend), or
 /// null.

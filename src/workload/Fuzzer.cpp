@@ -1,6 +1,8 @@
 #include "workload/Fuzzer.h"
 
-#include "backend/Execution.h"
+#include "backend/Interpreter.h"
+#include "backend/Linker.h"
+#include "backend/VM.h"
 #include "driver/Driver.h"
 
 #include <exception>
@@ -32,26 +34,58 @@ std::string mpc::renderDiags(const DiagnosticEngine &Diags) {
   return S;
 }
 
+namespace {
+
+/// "output / uncaught / error" difference between the two engines, or
+/// empty when the VM matched the tree-walker byte for byte.
+std::string diffEngines(const ExecResult &Oracle, const ExecResult &Vm) {
+  std::string D;
+  if (Oracle.Output != Vm.Output)
+    D += "program output differs:\n--- tree-walker\n" + Oracle.Output +
+         "--- vm\n" + Vm.Output;
+  if (Oracle.Uncaught != Vm.Uncaught ||
+      (Oracle.Uncaught && Oracle.Error != Vm.Error))
+    D += "error state differs: tree-walker '" +
+         (Oracle.Uncaught ? Oracle.Error : std::string()) + "' vs vm '" +
+         (Vm.Uncaught ? Vm.Error : std::string()) + "'; ";
+  return D;
+}
+
+} // namespace
+
 FuzzOutcome mpc::runPipelineOnce(CompilerContext &Comp,
                                  std::vector<SourceInput> Sources) {
   FuzzOutcome O;
   try {
+    // The paper's -Ycheck: the TreeChecker runs after every group.
+    Comp.options().CheckTrees = true;
     // Scope the output so trees and bytecode die before the caller's
     // reset() (which asserts the managed heap is empty).
     CompileOutput Out =
         compileProgram(Comp, std::move(Sources), PipelineKind::StandardFused);
     O.HasErrors = Comp.diags().hasErrors();
     O.DiagText = renderDiags(Comp.diags());
+    for (const CheckFailure &F : Out.CheckFailures)
+      O.CheckText += F.PhaseName + ": " + F.Message + "\n";
     if (!O.HasErrors && !Out.EntryPoints.empty()) {
-      // Engine selection flows from the context's options, so the same
-      // fuzz harness exercises the tree-walker or the bytecode VM.
-      ExecResult R =
-          executeProgram(Comp, Out.Units, Out.Prog, Out.EntryPoints.front(),
-                         execOptionsFrom(Comp));
+      // The tree-walker is the oracle; the linked VM must match it.
+      Interpreter I(Comp, Out.Units);
+      ExecResult R = I.runMain(Out.EntryPoints.front());
       O.Output = R.Output;
       O.Uncaught = R.Uncaught;
       if (R.Uncaught)
         O.Error = R.Error;
+
+      // linkProgram verifies every method; the VM refuses a program
+      // with failures, so a rejection is reported instead of a run.
+      LinkedProgram Linked = linkProgram(Out.Prog, Comp);
+      for (const VerifyFailure &F : Linked.Failures)
+        O.VerifyText += "pc " + std::to_string(F.Pc) + ": " + F.Message + "\n";
+      if (Linked.Failures.empty()) {
+        VM M(Comp, Linked);
+        O.RanVM = true;
+        O.VmDiff = diffEngines(R, M.runMain(Out.EntryPoints.front()));
+      }
     }
   } catch (const std::exception &E) {
     O.Crashed = true;
@@ -91,6 +125,12 @@ std::string diffOutcomes(const FuzzOutcome &A, const FuzzOutcome &B) {
          "--- second\n" + B.Output;
   if (A.Uncaught != B.Uncaught || A.Error != B.Error)
     D += "error state differs: '" + A.Error + "' vs '" + B.Error + "'; ";
+  if (A.CheckText != B.CheckText)
+    D += "tree-checker findings differ:\n--- first\n" + A.CheckText +
+         "--- second\n" + B.CheckText;
+  if (A.VerifyText != B.VerifyText || A.RanVM != B.RanVM ||
+      A.VmDiff != B.VmDiff)
+    D += "vm outcome differs; ";
   return D;
 }
 
@@ -111,6 +151,18 @@ FuzzOutcome mpc::runFuzzCase(CompilerContext &WarmComp, const FuzzCase &C,
   for (char Ch : Cold.DiagText)
     if (Ch == '\n')
       ++Stats.DiagsSeen;
+  if (Cold.RanVM)
+    ++Stats.VmRuns;
+
+  if (!Cold.CheckText.empty())
+    Stats.Violations.push_back(
+        {C, "check-failed", caseLabel(C) + ":\n" + Cold.CheckText});
+  if (!Cold.VerifyText.empty())
+    Stats.Violations.push_back(
+        {C, "verify-rejected", caseLabel(C) + ":\n" + Cold.VerifyText});
+  if (!Cold.VmDiff.empty())
+    Stats.Violations.push_back(
+        {C, "vm-mismatch", caseLabel(C) + ": " + Cold.VmDiff});
 
   if (familyIsValid(C.F)) {
     if (Cold.HasErrors)

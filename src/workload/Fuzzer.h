@@ -3,7 +3,9 @@
 /// \file
 /// Deterministic full-pipeline fuzzing harness. Feeds seeded generator
 /// families (valid and adversarial) through lex -> parse -> type ->
-/// transforms -> interpreter and checks the three totality properties the
+/// transforms (TreeChecker after every group) -> codegen, then runs each
+/// clean program on both engines: the tree-walker and, after linkProgram
+/// verifies it, the bytecode VM. It checks the totality properties the
 /// compile service depends on:
 ///
 ///   1. no input crashes the compiler — invalid programs produce
@@ -12,7 +14,10 @@
 ///      of the same seed are byte-identical;
 ///   3. context recycling is clean — compiling on a warm, reset() -recycled
 ///      context (including right after an error-laden job) is
-///      byte-identical to a cold context.
+///      byte-identical to a cold context;
+///   4. the compiler's own invariants hold — the TreeChecker finds
+///      nothing, the verifier accepts every generated method, and the VM
+///      matches the tree-walker byte for byte.
 ///
 /// Every case is reproducible from (family, seed, scale) alone; a failure
 /// report names all three.
@@ -46,11 +51,17 @@ struct FuzzOutcome {
   std::string Output;     // interpreter stdout (clean compiles only)
   bool Uncaught = false;  // interpreter uncaught MiniScala exception
   std::string Error;      // crash / uncaught-exception message
+  std::string CheckText;  // TreeChecker findings, one "phase: msg" a line
+  std::string VerifyText; // verifier findings from linkProgram
+  bool RanVM = false;     // the linked program ran in the VM
+  std::string VmDiff;     // how the VM differed from the tree-walker
 
   bool operator==(const FuzzOutcome &O) const {
     return Crashed == O.Crashed && HasErrors == O.HasErrors &&
            DiagText == O.DiagText && Output == O.Output &&
-           Uncaught == O.Uncaught && Error == O.Error;
+           Uncaught == O.Uncaught && Error == O.Error &&
+           CheckText == O.CheckText && VerifyText == O.VerifyText &&
+           RanVM == O.RanVM && VmDiff == O.VmDiff;
   }
 };
 
@@ -58,7 +69,8 @@ struct FuzzOutcome {
 struct FuzzViolation {
   FuzzCase Case;
   std::string Kind; // "crash" | "valid-family-rejected" |
-                    // "nondeterministic" | "warm-cold-mismatch"
+                    // "nondeterministic" | "warm-cold-mismatch" |
+                    // "check-failed" | "verify-rejected" | "vm-mismatch"
   std::string Detail;
 };
 
@@ -68,6 +80,7 @@ struct FuzzStats {
   uint64_t CleanCompiles = 0;
   uint64_t ErrorCompiles = 0;
   uint64_t DiagsSeen = 0;
+  uint64_t VmRuns = 0; // cases whose linked program ran in the VM
   std::vector<FuzzViolation> Violations;
 
   bool ok() const { return Violations.empty(); }
@@ -77,8 +90,9 @@ struct FuzzStats {
 /// used for byte-comparisons.
 std::string renderDiags(const DiagnosticEngine &Diags);
 
-/// Compiles \p Sources on \p Comp with the standard fused pipeline and,
-/// when the compile is clean and has an entry point, interprets it.
+/// Compiles \p Sources on \p Comp with the standard fused pipeline and
+/// the TreeChecker on and, when the compile is clean and has an entry
+/// point, runs it on the tree-walker, links it, and runs it in the VM.
 /// Exceptions are captured into the outcome instead of escaping. The
 /// caller owns context hygiene (reset() between jobs); all pipeline
 /// outputs are destroyed before this returns, so a reset() directly after
@@ -86,7 +100,8 @@ std::string renderDiags(const DiagnosticEngine &Diags);
 FuzzOutcome runPipelineOnce(CompilerContext &Comp,
                             std::vector<SourceInput> Sources);
 
-/// Runs one case's full check triple: cold compile, identical cold rerun
+/// Runs one case's full check set: cold compile (whose checker, verifier
+/// and VM findings become violations), identical cold rerun
 /// (determinism), and a compile on \p WarmComp — which is reset() after
 /// use — compared byte-for-byte against the cold outcome. Appends any
 /// violations to \p Stats and returns the cold outcome.

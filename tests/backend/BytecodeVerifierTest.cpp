@@ -213,16 +213,4 @@ TEST(BytecodeVerifier, GeneratedProgramsAlwaysVerify) {
   }
 }
 
-// CompilerOptions::VerifyBytecode routes the same check through CodeGen
-// and parks the findings on the Program.
-TEST(BytecodeVerifier, CodeGenOptionFillsProgramFailures) {
-  CompilerContext Comp;
-  Comp.options().VerifyBytecode = true;
-  CompileOutput Out =
-      compileProgram(Comp, generateFamily(Family::Mixed, 3, 0.2),
-                     PipelineKind::StandardFused);
-  ASSERT_FALSE(Comp.diags().hasErrors());
-  EXPECT_TRUE(Out.Prog.VerifyFailures.empty());
-}
-
 } // namespace

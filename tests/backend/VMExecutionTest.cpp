@@ -11,9 +11,9 @@
 // Sharded via GTEST_TOTAL_SHARDS/GTEST_SHARD_INDEX (see CMakeLists).
 //===----------------------------------------------------------------------===//
 
-#include "backend/Execution.h"
 #include "backend/Linker.h"
 #include "backend/VM.h"
+#include "backend/Verifier.h"
 #include "driver/Driver.h"
 #include "support/CancelToken.h"
 #include "support/OStream.h"
@@ -53,11 +53,10 @@ Outcome fromResult(const ExecResult &R) {
   return O;
 }
 
-/// Compiles through the full fused pipeline with the bytecode verifier
-/// enabled (the VM suites always verify). Fails the test on frontend or
-/// verifier trouble.
+/// Compiles through the full fused pipeline and runs the bytecode
+/// verifier over the result (the VM suites always verify). Fails the
+/// test on frontend or verifier trouble.
 CompileOutput compile(CompilerContext &Comp, std::vector<SourceInput> Sources) {
-  Comp.options().VerifyBytecode = true;
   CompileOutput Out =
       compileProgram(Comp, std::move(Sources), PipelineKind::StandardFused);
   if (Comp.diags().hasErrors()) {
@@ -65,7 +64,7 @@ CompileOutput compile(CompilerContext &Comp, std::vector<SourceInput> Sources) {
     Comp.diags().printAll(OS);
     ADD_FAILURE() << "frontend errors:\n" << OS.str();
   }
-  for (const VerifyFailure &F : Out.Prog.VerifyFailures)
+  for (const VerifyFailure &F : verifyProgram(Out.Prog))
     ADD_FAILURE() << "verifier: pc " << F.Pc << ": " << F.Message;
   EXPECT_FALSE(Out.EntryPoints.empty()) << "no entry point";
   return Out;
@@ -430,37 +429,30 @@ TEST(VMDirected, DeadlineCancellationMidLoop) {
 }
 
 //===----------------------------------------------------------------------===//
-// Directed: the execution facade and the verifier-refusal path
+// Directed: VM counters and the verifier-refusal path
 //===----------------------------------------------------------------------===//
 
-TEST(VMDirected, ExecutionFacadeSelectsEngine) {
+TEST(VMDirected, LinkedRunFlushesCounters) {
   const char *Source = R"(
 object Main {
   def main(args: Array[String]): Unit = println(6 * 7)
 }
 )";
   CompilerContext Comp;
-  Comp.options().Engine = ExecEngine::VM;
   std::vector<SourceInput> Sources;
   Sources.push_back({"vm.scala", Source});
   CompileOutput Out = compile(Comp, std::move(Sources));
   ASSERT_FALSE(Out.EntryPoints.empty());
 
-  ExecResult R = executeProgram(Comp, Out.Units, Out.Prog,
-                                Out.EntryPoints.front(),
-                                execOptionsFrom(Comp));
+  LinkedProgram Linked = linkProgram(Out.Prog, Comp);
+  ASSERT_TRUE(Linked.Failures.empty());
+  VM M(Comp, Linked);
+  ExecResult R = M.runMain(Out.EntryPoints.front());
   EXPECT_FALSE(R.Uncaught) << R.Error;
   EXPECT_EQ(R.Output, "42\n");
   // The VM flushed its counters into the context's stats.
   EXPECT_GT(Comp.stats().get("backend.vm.steps"), 0u);
   EXPECT_GT(Comp.stats().get("backend.vm.frames"), 0u);
-}
-
-TEST(VMDirected, NoEntryPointIsATypedError) {
-  CompilerContext Comp;
-  ExecResult R = executeProgram(Comp, {}, Program{}, nullptr);
-  EXPECT_TRUE(R.Uncaught);
-  EXPECT_EQ(R.Error, "no entry point");
 }
 
 TEST(VMDirected, VerifierRefusalBlocksExecution) {

@@ -80,8 +80,6 @@ TEST(JobKey, EveryCacheRelevantOptionFlipsTheKey) {
   EXPECT_NE(
       WithOptions([](CompilerOptions &O) { O.Strategy = FusionStrategy::Naive; }),
       Base);
-  EXPECT_NE(WithOptions([](CompilerOptions &O) { O.VerifyBytecode = true; }),
-            Base);
 }
 
 TEST(JobKey, SlabHeapIsExplicitlyCacheIrrelevant) {
@@ -187,24 +185,14 @@ TEST(ArtifactCache, ChurnStreamPinsBytesUnderMaxBytes) {
 }
 
 TEST(ArtifactCache, ErrorCachingPolicy) {
-  // Default: error artifacts are cached (diagnostics replay
-  // deterministically).
+  // Error artifacts are cached (diagnostics replay deterministically).
   ArtifactCache Caching;
   Caching.insert(keyOf(1), artifactOf("bad", /*HadErrors=*/true));
   CachedArtifact Out;
   ASSERT_TRUE(Caching.lookup(keyOf(1), Out));
   EXPECT_TRUE(Out.HadErrors);
   EXPECT_EQ(Out.DiagText, "error: synthetic\n");
-
-  // CacheErrors=false: error artifacts are rejected, clean ones kept.
-  CacheConfig Cfg;
-  Cfg.CacheErrors = false;
-  ArtifactCache NoErrors(Cfg);
-  NoErrors.insert(keyOf(1), artifactOf("bad", /*HadErrors=*/true));
-  EXPECT_FALSE(NoErrors.lookup(keyOf(1), Out));
-  NoErrors.insert(keyOf(2), artifactOf("good"));
-  EXPECT_TRUE(NoErrors.lookup(keyOf(2), Out));
-  EXPECT_EQ(NoErrors.stats().RejectedInserts, 1u);
+  EXPECT_EQ(Caching.stats().RejectedInserts, 0u);
 }
 
 TEST(ArtifactCache, OversizeArtifactNeverInserted) {

@@ -15,8 +15,8 @@
 //   * Queue behavior: enqueue-while-running across multiple drains keeps
 //     in-order delivery and accumulates counters.
 //   * Artifact cache: a cache-hit drain is byte-identical to a
-//     cache-disabled run at worker counts 1/4/8, error results replay or
-//     recompile per CacheErrors, and the service counters track
+//     cache-disabled run at worker counts 1/4/8, error results replay
+//     byte-identically, and the service counters track
 //     hits/misses/bytes.
 //   * Error recovery under reset(): syntactically invalid programs
 //     interleaved with valid ones across recycled contexts produce
@@ -263,7 +263,7 @@ TEST(CompileService, CacheKeysOnSourceContent) {
 }
 
 TEST(CompileService, ErrorResultsReplayDeterministically) {
-  // CacheErrors on (default): the second failing job is a hit and its
+  // Error results are cached: the second failing job is a hit and its
   // diagnostics replay byte-identically.
   ServiceConfig Cfg;
   Cfg.Threads = 1;
@@ -280,22 +280,6 @@ TEST(CompileService, ErrorResultsReplayDeterministically) {
   EXPECT_TRUE(Results[1].HadErrors);
   EXPECT_EQ(Results[0].DiagText, Results[1].DiagText);
   EXPECT_EQ(Service.stats().get("service.cacheHits"), 1u);
-
-  // CacheErrors off: both failing jobs compile, outputs still identical.
-  ServiceConfig NoErrCfg;
-  NoErrCfg.Threads = 1;
-  NoErrCfg.Cache.CacheErrors = false;
-  CompileService NoErr(NoErrCfg);
-  for (int I = 0; I < 2; ++I) {
-    BatchJob J;
-    J.Sources.push_back({"bad.scala", Bad});
-    NoErr.enqueue(std::move(J));
-  }
-  std::vector<BatchResult> NoErrResults = NoErr.drain();
-  ASSERT_EQ(NoErrResults.size(), 2u);
-  EXPECT_EQ(NoErrResults[0].DiagText, NoErrResults[1].DiagText);
-  EXPECT_EQ(NoErr.stats().get("service.cacheHits"), 0u);
-  EXPECT_EQ(NoErr.stats().get("service.cacheMisses"), 2u);
 }
 
 TEST(CompileService, CacheEvictionKeepsBytesUnderCap) {

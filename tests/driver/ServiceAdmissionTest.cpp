@@ -1,6 +1,6 @@
 //===----------------------------------------------------------------------===//
 // Admission-control tests for the compile service: bounded queue with the
-// three QueuePolicy behaviors, the two priority lanes with their
+// two QueuePolicy behaviors, the two priority lanes with their
 // anti-starvation burst cap, per-job deadlines (in queue and in compile),
 // and the stop()/shutdown contract.
 //
@@ -224,29 +224,6 @@ TEST(ServiceAdmission, RejectNewestRefusesArrivalsAtFullQueue) {
   EXPECT_EQ(Service.stats().get("service.jobsShed"), 0u);
 }
 
-TEST(ServiceAdmission, BlockPolicyThrottlesProducerWithoutLoss) {
-  // Closed loop: a depth-2 Block queue admits everything eventually and
-  // the producer simply waits — no result is ever degraded.
-  ServiceConfig Cfg;
-  Cfg.Threads = 2;
-  Cfg.MaxQueueDepth = 2;
-  Cfg.Policy = QueuePolicy::Block;
-  Cfg.Cache.Enabled = false;
-  CompileService Service(Cfg);
-  const size_t N = 16;
-  for (size_t I = 0; I < N; ++I) {
-    AdmitResult A = Service.tryEnqueue(tinyJob(I));
-    EXPECT_TRUE(A.Accepted) << "arrival " << I;
-  }
-  std::vector<BatchResult> Results = Service.drain();
-  ASSERT_EQ(Results.size(), N);
-  for (size_t I = 0; I < N; ++I)
-    EXPECT_EQ(Results[I].Status, JobStatus::Ok) << "job " << I;
-  EXPECT_LE(Service.stats().get("service.queueDepthPeak"), 2u);
-  EXPECT_EQ(Service.stats().get("service.jobsRejected"), 0u);
-  EXPECT_EQ(Service.stats().get("service.jobsShed"), 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // Priority lanes
 //===----------------------------------------------------------------------===//
@@ -255,9 +232,10 @@ TEST(ServiceAdmission, PriorityLanesFollowBurstCappedSchedule) {
   WorkerGate Gate;
   ScopedFaultInjector Injector(Gate.config());
 
+  static_assert(CompileService::InteractiveBurst == 3,
+                "the expected schedule below assumes a burst cap of 3");
   ServiceConfig Cfg;
   Cfg.Threads = 1;
-  Cfg.InteractiveBurst = 3;
   Cfg.Cache.Enabled = false;
   CompileService Service(Cfg);
 

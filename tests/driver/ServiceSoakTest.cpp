@@ -42,7 +42,7 @@ TEST(ServiceSoak, MixedFaultedStreamReachesResourceFixedPoint) {
   Cfg.Policy = QueuePolicy::ShedOldest;
   CompileService Service(Cfg);
   ASSERT_NE(Service.pagePool(), nullptr);
-  const size_t PoolCap = Service.pagePool()->config().MaxPages;
+  const size_t PoolCap = PagePool::MaxPages;
 
   const unsigned Rounds = 24;
   const unsigned JobsPerRound = 32;

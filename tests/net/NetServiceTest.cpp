@@ -612,19 +612,3 @@ TEST(NetServiceTest, AcceptAtTheFdLimitDoesNotSpin) {
   // Fds are back: the server accepts again and still compiles correctly.
   expectFreshClientCompiles(TS.Port, Sources, Local);
 }
-
-TEST(NetServiceTest, BlockingAdmissionWithABoundedQueueIsRefused) {
-  // A full bounded queue would block tryEnqueue() — on the reactor, that
-  // stalls every connection — so start() refuses the combination.
-  ServerConfig Cfg = TestServer::base();
-  Cfg.Service.MaxQueueDepth = 4;
-  Cfg.Service.Policy = QueuePolicy::Block;
-  CompileServer Server(Cfg);
-  std::string Err;
-  EXPECT_FALSE(Server.start(Err));
-  EXPECT_NE(Err.find("Block"), std::string::npos) << Err;
-
-  // The default, Block over an unbounded queue, never blocks.
-  CompileServer Default(TestServer::base());
-  EXPECT_TRUE(Default.start(Err)) << Err;
-}

@@ -1,10 +1,13 @@
 //===----------------------------------------------------------------------===//
 // Full-pipeline fuzz tests: seeded generator families (valid and
-// adversarial) through lex -> parse -> type -> transforms -> interpreter.
-// The properties under test are the compile service's totality contract:
-// no input crashes the compiler, diagnostics are deterministic, and a
-// warm reset()-recycled context behaves byte-identically to a cold one —
-// including immediately after error-laden jobs.
+// adversarial) through lex -> parse -> type -> transforms -> codegen,
+// then the tree-walker and the linked VM. The properties under test are
+// the compile service's totality contract — no input crashes the
+// compiler, diagnostics are deterministic, and a warm reset()-recycled
+// context behaves byte-identically to a cold one, including immediately
+// after error-laden jobs — plus the compiler's own invariants: the
+// TreeChecker finds nothing, the verifier accepts every method, and the
+// VM matches the tree-walker.
 //===----------------------------------------------------------------------===//
 
 #include "workload/Fuzzer.h"
@@ -47,8 +50,12 @@ TEST_P(FamilyCampaign, PropertiesHold) {
   if (familyIsValid(F)) {
     EXPECT_EQ(Stats.CleanCompiles, Stats.CasesRun)
         << familyName(F) << " is a valid family; no case may diagnose";
+    EXPECT_GT(Stats.VmRuns, 0u);
+    EXPECT_EQ(Stats.VmRuns, Stats.CasesRun)
+        << familyName(F) << ": every valid case must also run in the VM";
   }
 }
+
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, FamilyCampaign,
                          ::testing::ValuesIn(allFamilies()),

@@ -3,8 +3,10 @@
 //
 // Runs seeded generator families (valid and adversarial) through the whole
 // compiler and checks the totality properties (no crashes, deterministic
-// diagnostics, warm == cold after context recycling). Every case replays
-// from its (family, seed, scale) triple:
+// diagnostics, warm == cold after context recycling) plus the compiler's
+// own invariants (TreeChecker after every group, the verifier on every
+// linked method, VM == tree-walker). Every case replays from its
+// (family, seed, scale) triple:
 //
 //   mpc_fuzz --seeds 10000                    # full campaign
 //   mpc_fuzz --families truncated,mixed       # subset
@@ -124,16 +126,19 @@ int main(int Argc, char **Argv) {
   FuzzStats Stats = runFuzzCampaign(Families, StartSeed, NumSeeds, Scale);
 
   std::printf("mpc_fuzz: %llu cases (%llu families x %llu seeds), "
-              "%llu clean, %llu with diagnostics, %llu diagnostic lines\n",
+              "%llu clean, %llu with diagnostics, %llu diagnostic lines, "
+              "%llu VM runs\n",
               static_cast<unsigned long long>(Stats.CasesRun),
               static_cast<unsigned long long>(Families.size()),
               static_cast<unsigned long long>(NumSeeds),
               static_cast<unsigned long long>(Stats.CleanCompiles),
               static_cast<unsigned long long>(Stats.ErrorCompiles),
-              static_cast<unsigned long long>(Stats.DiagsSeen));
+              static_cast<unsigned long long>(Stats.DiagsSeen),
+              static_cast<unsigned long long>(Stats.VmRuns));
   if (Stats.ok()) {
     std::printf("mpc_fuzz: all properties held (no crashes, deterministic, "
-                "warm == cold)\n");
+                "warm == cold, trees check, bytecode verifies, "
+                "vm == tree-walker)\n");
     return 0;
   }
   std::printf("mpc_fuzz: %zu violations\n", Stats.Violations.size());

@@ -53,7 +53,6 @@ int main(int Argc, char **Argv) {
   ServerConfig Cfg;
   Cfg.Service.Threads = 2;
   Cfg.Service.MaxQueueDepth = 64;
-  Cfg.Service.Policy = QueuePolicy::RejectNewest;
 
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
