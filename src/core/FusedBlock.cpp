@@ -109,9 +109,7 @@ TreePtr FusedBlock::transformTree(TreePtr Root, PhaseRunContext &Ctx) {
   // regardless of hooks), when IdentitySkip is off (the ablation invokes
   // undeclared hooks too), and under perf instrumentation (the memsim
   // figures model the full walk).
-  const CompilerOptions &Opts = Ctx.Comp.options();
-  bool Prune = Opts.SubtreePruning && Opts.IdentitySkip && !Opts.AlwaysCopy &&
-               !Ctx.Comp.perf();
+  bool Prune = Ctx.pruneSubtrees();
   ActiveTransformBits = Prune ? TransformBits : 0;
   ActivePrepareBits = Prune ? PrepareBits : 0;
   assert(KidScratch.empty() && "scratch leaked from a previous run");

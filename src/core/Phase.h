@@ -36,6 +36,17 @@ struct PhaseRunContext {
   TreeContext &trees() const { return Comp.trees(); }
   TypeContext &types() const { return Comp.types(); }
   SymbolTable &syms() const { return Comp.syms(); }
+
+  /// True when walks over this run may skip a subtree by its
+  /// Tree::kindsBelow summary: SubtreePruning is on, and neither the
+  /// AlwaysCopy baseline, the IdentitySkip ablation nor the attached
+  /// perf simulators need the full walk. The fusion engine and the
+  /// unit-prepare analyses share this one condition.
+  bool pruneSubtrees() const {
+    const CompilerOptions &Opts = Comp.options();
+    return Opts.SubtreePruning && Opts.IdentitySkip && !Opts.AlwaysCopy &&
+           !Comp.perf();
+  }
 };
 
 /// Base class of all pipeline phases.

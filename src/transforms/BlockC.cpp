@@ -12,8 +12,6 @@
 #include "transforms/TransformUtils.h"
 #include "transforms/TreeClone.h"
 
-#include <functional>
-
 using namespace mpc;
 
 //===----------------------------------------------------------------------===//
@@ -376,36 +374,62 @@ CapturedVarsPhase::CapturedVarsPhase()
   declareTransforms({TreeKind::Ident, TreeKind::ValDef});
 }
 
-void CapturedVarsPhase::prepareForUnit(PhaseRunContext &Ctx) {
-  Boxed.clear();
-  // Which mutable locals are referenced from inside a closure that does
-  // not define them? Walk with a closure-nesting counter.
-  std::map<Symbol *, unsigned> DefDepth;
-  std::function<void(Tree *, unsigned)> Walk = [&](Tree *T,
-                                                   unsigned Depth) {
-    if (!T)
+namespace {
+/// CapturedVars' unit scan: which mutable locals are referenced from
+/// inside a closure that does not define them? Walks with a
+/// closure-nesting depth.
+struct CaptureScan {
+  FlatPtrMap<Symbol *, bool> &Boxed;
+  /// A subtree is scanned only when its kind summary meets Outside (at
+  /// depth 0) or Inside (within a closure). Definitions and closures
+  /// matter everywhere; references only inside a closure, since a local
+  /// defined at depth 0 and read at depth 0 is never boxed.
+  uint32_t Outside;
+  uint32_t Inside;
+  FlatPtrMap<Symbol *, unsigned> DefDepth;
+
+  void walk(Tree *T, unsigned Depth) {
+    if ((T->kindsBelow() & (Depth ? Inside : Outside)) == 0)
       return;
     if (auto *VD = dyn_cast<ValDef>(T)) {
       Symbol *S = VD->sym();
       if (S->is(SymFlag::Local) && S->is(SymFlag::Mutable) &&
-          !S->is(SymFlag::Field))
-        DefDepth[S] = Depth;
+          !S->is(SymFlag::Field)) {
+        if (unsigned *D = DefDepth.find(S))
+          *D = Depth;
+        else
+          DefDepth.insert(S, Depth);
+      }
     }
     if (auto *Id = dyn_cast<Ident>(T)) {
-      auto It = DefDepth.find(Id->sym());
-      if (It != DefDepth.end() && It->second != Depth)
-        Boxed.insert(Id->sym());
+      const unsigned *D = DefDepth.find(Id->sym());
+      if (D && *D != Depth)
+        Boxed.insert(Id->sym(), true);
     }
     unsigned ChildDepth = isa<Closure>(T) ? Depth + 1 : Depth;
     for (const TreePtr &K : T->kids())
-      Walk(K.get(), ChildDepth);
-  };
-  Walk(Ctx.Unit.Root.get(), 0);
+      if (K)
+        walk(K.get(), ChildDepth);
+  }
+};
+} // namespace
+
+void CapturedVarsPhase::prepareForUnit(PhaseRunContext &Ctx) {
+  Boxed.clear();
+  uint32_t Outside = KindSet::all().bits();
+  uint32_t Inside = Outside;
+  if (Ctx.pruneSubtrees()) {
+    Outside = KindSet({TreeKind::ValDef, TreeKind::Closure}).bits();
+    Inside = KindSet({TreeKind::ValDef, TreeKind::Closure, TreeKind::Ident})
+                 .bits();
+  }
+  CaptureScan Scan{Boxed, Outside, Inside, {}};
+  Scan.walk(Ctx.Unit.Root.get(), 0);
 }
 
 TreePtr CapturedVarsPhase::transformIdent(Ident *T, PhaseRunContext &Ctx) {
   Symbol *Sym = T->sym();
-  if (!Boxed.count(Sym))
+  if (!Boxed.find(Sym))
     return TreePtr(T);
   // x  ->  x.elem  (x now holds a Ref box).
   const Type *ValueTy =
@@ -424,7 +448,7 @@ TreePtr CapturedVarsPhase::transformIdent(Ident *T, PhaseRunContext &Ctx) {
 
 TreePtr CapturedVarsPhase::transformValDef(ValDef *T, PhaseRunContext &Ctx) {
   Symbol *Sym = T->sym();
-  if (!Boxed.count(Sym) || Sym->is(SymFlag::Boxed))
+  if (!Boxed.find(Sym) || Sym->is(SymFlag::Boxed))
     return TreePtr(T);
   const Type *ValueTy = Sym->info();
   ClassSymbol *RefCls = Ctx.syms().refClassFor(ValueTy);

@@ -11,7 +11,7 @@
 #include "transforms/TransformUtils.h"
 #include "transforms/TreeClone.h"
 
-#include <functional>
+#include <algorithm>
 
 using namespace mpc;
 
@@ -42,6 +42,73 @@ void LambdaLiftPhase::leaveClassDef(ClassDef *T, PhaseRunContext &Ctx) {
   ClassStack.pop_back();
 }
 
+namespace {
+/// One local method found by LambdaLift's unit scan.
+struct LocalMethod {
+  DefDef *Def;
+  ClassSymbol *Host;
+  std::vector<Symbol *> Free;
+  /// Other local methods referenced in the body (indices into the scan's
+  /// list, in preorder, repeats kept).
+  std::vector<uint32_t> Calls;
+  /// Symbols of the ValDefs inside the method, params included; filled
+  /// only for methods that call others (the fixpoint's only readers).
+  FlatPtrMap<Symbol *, bool> ValDefs;
+};
+
+/// LambdaLift's analysis state. Locals is in preorder discovery order,
+/// which fixes the order of every lifted method's free variables
+/// independently of where symbols happen to be allocated.
+struct LiftScan {
+  /// A subtree is scanned only when its kind summary meets this mask.
+  uint32_t Keep;
+  std::vector<LocalMethod> Locals;
+  FlatPtrMap<Symbol *, uint32_t> IndexOf;
+
+  void findLocals(Tree *T, ClassSymbol *Host) {
+    if ((T->kindsBelow() & Keep) == 0)
+      return;
+    if (auto *CD = dyn_cast<ClassDef>(T))
+      Host = CD->sym();
+    if (auto *DD = dyn_cast<DefDef>(T)) {
+      Symbol *S = DD->sym();
+      // Scan the whole definition (params included) so the method's own
+      // parameters are not counted as free.
+      if (S->is(SymFlag::Local) && S->isMethod()) {
+        LocalMethod M{DD, Host, freeLocals(DD), {}, {}};
+        if (const uint32_t *I = IndexOf.find(S)) {
+          Locals[*I] = std::move(M);
+        } else {
+          IndexOf.insert(S, static_cast<uint32_t>(Locals.size()));
+          Locals.push_back(std::move(M));
+        }
+      }
+    }
+    for (const TreePtr &K : T->kids())
+      if (K)
+        findLocals(K.get(), Host);
+  }
+
+  void findCalls(Tree *T, LocalMethod &M) {
+    if (auto *Id = dyn_cast<Ident>(T))
+      if (Id->sym() != M.Def->sym())
+        if (const uint32_t *I = IndexOf.find(Id->sym()))
+          M.Calls.push_back(*I);
+    for (const TreePtr &K : T->kids())
+      if (K)
+        findCalls(K.get(), M);
+  }
+
+  static void findValDefs(Tree *T, LocalMethod &M) {
+    if (auto *VD = dyn_cast<ValDef>(T))
+      M.ValDefs.insert(VD->sym(), true);
+    for (const TreePtr &K : T->kids())
+      if (K)
+        findValDefs(K.get(), M);
+  }
+};
+} // namespace
+
 void LambdaLiftPhase::prepareForUnit(PhaseRunContext &Ctx) {
   Lifted.clear();
   Pending.clear();
@@ -49,40 +116,17 @@ void LambdaLiftPhase::prepareForUnit(PhaseRunContext &Ctx) {
 
   // Pass 1: find local methods, their hosting classes, and direct free
   // variables; record call edges between local methods.
-  struct Info {
-    DefDef *Def;
-    ClassSymbol *Host;
-    std::vector<Symbol *> Free;
-    std::vector<Symbol *> Calls; // other local methods referenced
-  };
-  std::map<Symbol *, Info> Locals;
-
-  std::function<void(Tree *, ClassSymbol *)> Scan =
-      [&](Tree *T, ClassSymbol *Host) {
-        if (!T)
-          return;
-        if (auto *CD = dyn_cast<ClassDef>(T))
-          Host = CD->sym();
-        if (auto *DD = dyn_cast<DefDef>(T)) {
-          Symbol *S = DD->sym();
-          // Scan the whole definition (params included) so the method's
-          // own parameters are not counted as free.
-          if (S->is(SymFlag::Local) && S->isMethod())
-            Locals[S] = {DD, Host, freeLocals(DD), {}};
-        }
-        for (const TreePtr &K : T->kids())
-          Scan(K.get(), Host);
-      };
-  Scan(Ctx.Unit.Root.get(), nullptr);
-
-  // Call edges (references to other local methods inside each body).
-  for (auto &[Sym, I] : Locals) {
-    forEachSubtree(I.Def->rhs(), [&, &LI = I](Tree *Node) {
-      if (auto *Id = dyn_cast<Ident>(Node)) {
-        if (Id->sym() != Sym && Locals.count(Id->sym()))
-          LI.Calls.push_back(Id->sym());
-      }
-    });
+  LiftScan Scan{Ctx.pruneSubtrees() ? KindSet({TreeKind::DefDef}).bits()
+                                    : KindSet::all().bits(),
+                {},
+                {}};
+  Scan.findLocals(Ctx.Unit.Root.get(), nullptr);
+  std::vector<LocalMethod> &Locals = Scan.Locals;
+  for (LocalMethod &M : Locals) {
+    if (Tree *Rhs = M.Def->rhs())
+      Scan.findCalls(Rhs, M);
+    if (!M.Calls.empty())
+      LiftScan::findValDefs(M.Def, M);
   }
 
   // Pass 2: transitive closure of free variables along call edges, so a
@@ -90,23 +134,15 @@ void LambdaLiftPhase::prepareForUnit(PhaseRunContext &Ctx) {
   bool ChangedFV = true;
   while (ChangedFV) {
     ChangedFV = false;
-    for (auto &[Sym, I] : Locals) {
-      for (Symbol *Callee : I.Calls) {
+    for (LocalMethod &M : Locals) {
+      for (uint32_t Callee : M.Calls) {
         for (Symbol *FV : Locals[Callee].Free) {
-          // The callee's own (new) params are not free in the caller.
-          if (std::find(I.Free.begin(), I.Free.end(), FV) ==
-              I.Free.end()) {
-            // Skip variables defined inside this very method.
-            bool DefinedHere = false;
-            forEachSubtree(I.Def, [&](Tree *Node) {
-              if (auto *VD = dyn_cast<ValDef>(Node))
-                if (VD->sym() == FV)
-                  DefinedHere = true;
-            });
-            if (!DefinedHere) {
-              I.Free.push_back(FV);
-              ChangedFV = true;
-            }
+          // The callee's own (new) params are not free in the caller, nor
+          // are variables defined inside this very method.
+          if (std::find(M.Free.begin(), M.Free.end(), FV) == M.Free.end() &&
+              !M.ValDefs.find(FV)) {
+            M.Free.push_back(FV);
+            ChangedFV = true;
           }
         }
       }
@@ -116,22 +152,20 @@ void LambdaLiftPhase::prepareForUnit(PhaseRunContext &Ctx) {
   // Pass 3: retarget symbols (owner, signature) — the new signatures are
   // visible to every call site in this unit's traversal.
   TypeContext &Types = Ctx.types();
-  for (auto &[Sym, I] : Locals) {
-    LiftInfo LI;
-    LI.FreeVars = I.Free;
-    LI.HostClass = I.Host;
+  for (LocalMethod &M : Locals) {
+    Symbol *Sym = M.Def->sym();
     const auto *MT = cast<MethodType>(Sym->info());
     std::vector<const Type *> Params;
-    for (Symbol *FV : I.Free)
+    for (Symbol *FV : M.Free)
       Params.push_back(FV->info());
     for (const Type *P : MT->params())
       Params.push_back(P);
     Sym->setInfo(Types.methodType(std::move(Params), MT->result()));
     Sym->setFlag(SymFlag::Lifted | SymFlag::Private | SymFlag::Synthetic);
     Sym->clearFlag(SymFlag::Local);
-    if (I.Host)
-      Sym->setOwner(I.Host);
-    Lifted[Sym] = std::move(LI);
+    if (M.Host)
+      Sym->setOwner(M.Host);
+    Lifted.insert(Sym, LiftInfo{std::move(M.Free), M.Host});
   }
 }
 
@@ -139,10 +173,10 @@ TreePtr LambdaLiftPhase::transformApply(Apply *T, PhaseRunContext &Ctx) {
   auto *Id = dyn_cast<Ident>(T->fun());
   if (!Id)
     return TreePtr(T);
-  auto It = Lifted.find(Id->sym());
-  if (It == Lifted.end())
+  const LiftInfo *Info = Lifted.find(Id->sym());
+  if (!Info)
     return TreePtr(T);
-  const LiftInfo &LI = It->second;
+  const LiftInfo &LI = *Info;
   Symbol *Sym = Id->sym();
   TreeContext &Trees = Ctx.trees();
   // f(args)  ->  this.f$lifted(fv1, ..., fvN, args).
@@ -169,7 +203,7 @@ TreePtr LambdaLiftPhase::transformBlock(Block *T, PhaseRunContext &Ctx) {
   bool Any = false;
   for (unsigned I = 0; I < T->numStats(); ++I)
     if (auto *DD = dyn_cast_or_null<DefDef>(T->stat(I)))
-      if (Lifted.count(DD->sym()))
+      if (Lifted.find(DD->sym()))
         Any = true;
   if (!Any)
     return TreePtr(T);
@@ -179,12 +213,12 @@ TreePtr LambdaLiftPhase::transformBlock(Block *T, PhaseRunContext &Ctx) {
   for (unsigned I = 0; I < T->numStats(); ++I) {
     Tree *Stat = T->stat(I);
     auto *DD = dyn_cast_or_null<DefDef>(Stat);
-    if (!DD || !Lifted.count(DD->sym())) {
+    if (!DD || !Lifted.find(DD->sym())) {
       Stats.push_back(TreePtr(Stat));
       continue;
     }
     Symbol *Sym = DD->sym();
-    const LiftInfo &LI = Lifted[Sym];
+    const LiftInfo &LI = *Lifted.find(Sym);
     // Fresh parameters for the free variables; references in the body are
     // redirected to them.
     SymbolMap Subst;

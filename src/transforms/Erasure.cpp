@@ -14,6 +14,8 @@
 
 #include "ast/TreeUtils.h"
 
+#include <cassert>
+
 using namespace mpc;
 
 ErasurePhase::ErasurePhase()
@@ -103,35 +105,90 @@ const Type *ErasurePhase::eraseType(const Type *T, CompilerContext &Comp) {
   return T;
 }
 
-void ErasurePhase::eraseSymbolInfos(CompilerContext &Comp) {
+const Type *ErasurePhase::erase(const Type *T, CompilerContext &Comp,
+                                TypeMemo &Memo) {
+  if (!T)
+    return nullptr;
+  if (const Type **Hit = Memo.find(T))
+    return *Hit;
+  const Type *Erased = eraseType(T, Comp);
+  Memo.insert(T, Erased);
+  return Erased;
+}
+
+void ErasurePhase::eraseSymbolInfos(CompilerContext &Comp, TypeMemo &Memo) {
   for (const auto &Owned : Comp.syms().allSymbols()) {
     Symbol *S = Owned.get();
     if (S->is(SymFlag::TypeParam))
       continue;
     if (const Type *Info = S->info())
-      S->setInfo(eraseType(Info, Comp));
+      S->setInfo(erase(Info, Comp, Memo));
   }
 }
 
-TreePtr ErasurePhase::eraseTree(Tree *T, CompilerContext &Comp) {
-  TreeContext &Trees = Comp.trees();
-
-  // Erase children first (postorder, like any other phase).
-  TreeList NewKids;
-  NewKids.reserve(T->numKids());
+TreePtr ErasurePhase::eraseTree(Tree *T, CompilerContext &Comp,
+                                TypeMemo &Memo) {
+  // Erase children first (postorder, like any other phase). Nothing goes
+  // onto the scratch stack until a child changes, so an unchanged subtree
+  // costs no slot and no refcount traffic. Slots are indexed from Base
+  // because the recursion may grow (and reallocate) the buffer.
+  unsigned N = T->numKids();
+  size_t Base = KidScratch.size();
   bool KidsChanged = false;
-  for (const TreePtr &K : T->kids()) {
-    if (!K) {
-      NewKids.push_back(nullptr);
+  for (unsigned I = 0; I < N; ++I) {
+    Tree *K = T->kid(I);
+    TreePtr NK = K ? eraseTree(K, Comp, Memo) : TreePtr();
+    if (!NK && !KidsChanged)
       continue;
-    }
-    TreePtr NK = eraseTree(K.get(), Comp);
-    if (NK.get() != K.get())
+    if (!KidsChanged) {
       KidsChanged = true;
-    NewKids.push_back(std::move(NK));
+      for (unsigned J = 0; J < I; ++J)
+        KidScratch.emplace_back(T->kid(J));
+    }
+    KidScratch.push_back(NK ? std::move(NK) : TreePtr(K));
   }
 
-  const Type *ErasedTy = eraseType(T->type(), Comp);
+  const Type *ErasedTy = erase(T->type(), Comp, Memo);
+  TreePtr Node;
+  switch (T->kind()) {
+  case TreeKind::TypeApply:
+  case TreeKind::New:
+  case TreeKind::SeqLiteral:
+  case TreeKind::Apply:
+  case TreeKind::Select:
+    Node = eraseNode(T, Base, KidsChanged, ErasedTy, Comp, Memo);
+    break;
+  default:
+    if (KidsChanged) {
+      Node = Comp.trees().withNewChildrenForced(T, KidScratch.data() + Base,
+                                                N);
+      if (ErasedTy != Node->type())
+        Node = Comp.trees().withType(Node.get(), ErasedTy);
+    } else if (ErasedTy != T->type()) {
+      Node = Comp.trees().withType(T, ErasedTy);
+    }
+    break;
+  }
+  KidScratch.resize(Base);
+  return Node;
+}
+
+TreePtr ErasurePhase::eraseNode(Tree *T, size_t Base, bool KidsChanged,
+                                const Type *ErasedTy, CompilerContext &Comp,
+                                TypeMemo &Memo) {
+  TreeContext &Trees = Comp.trees();
+  unsigned N = T->numKids();
+  // The Legacy baseline (Fig. 9) rebuilds every node of these kinds;
+  // otherwise one whose children, type and payload are unchanged is kept.
+  bool Reuse = !KidsChanged && !Comp.options().AlwaysCopy;
+  // The erased children as a span for a rebuild to move from; taken from
+  // T itself when none changed.
+  auto Kids = [&] {
+    if (!KidsChanged)
+      for (unsigned J = 0; J < N; ++J)
+        KidScratch.emplace_back(T->kid(J));
+    return KidScratch.data() + Base;
+  };
 
   switch (T->kind()) {
   case TreeKind::TypeApply: {
@@ -145,37 +202,42 @@ TreePtr ErasurePhase::eraseTree(Tree *T, CompilerContext &Comp) {
                   Sym == Comp.syms().asInstanceOfMethod() ||
                   Sym == Comp.syms().newArrayMethod();
     if (!IsTest)
-      return NewKids[0] ? std::move(NewKids[0]) : TreePtr(TA->fun());
+      return KidsChanged ? std::move(KidScratch[Base]) : TreePtr(TA->fun());
     std::vector<const Type *> Args;
     for (const Type *A : TA->typeArgs())
-      Args.push_back(eraseType(A, Comp));
-    return Trees.makeTypeApply(T->loc(), std::move(NewKids[0]),
+      Args.push_back(erase(A, Comp, Memo));
+    return Trees.makeTypeApply(T->loc(), std::move(Kids()[0]),
                                std::move(Args), ErasedTy);
   }
   case TreeKind::New: {
-    const Type *ClsTy = eraseType(cast<New>(T)->classTy(), Comp);
-    return Trees.makeNew(T->loc(), ClsTy, std::move(NewKids));
+    const Type *ClsTy = erase(cast<New>(T)->classTy(), Comp, Memo);
+    if (Reuse && ClsTy == cast<New>(T)->classTy() && ClsTy == T->type())
+      return nullptr;
+    return Trees.makeNew(T->loc(), ClsTy, Kids(), N);
   }
   case TreeKind::SeqLiteral: {
-    const Type *Elem =
-        eraseType(cast<SeqLiteral>(T)->elemType(), Comp);
-    return Trees.makeSeqLiteral(T->loc(), std::move(NewKids), Elem,
-                                Comp.types().arrayType(Elem));
+    const Type *Elem = erase(cast<SeqLiteral>(T)->elemType(), Comp, Memo);
+    const Type *ArrTy = Comp.types().arrayType(Elem);
+    if (Reuse && Elem == cast<SeqLiteral>(T)->elemType() &&
+        ArrTy == T->type())
+      return nullptr;
+    return Trees.makeSeqLiteral(T->loc(), Kids(), N, Elem, ArrTy);
   }
   case TreeKind::Apply: {
     // The value has the erased result type of the (erased) function; when
     // the statically known type was more precise, insert a cast.
-    TreePtr Node;
-    const Type *FunTy = NewKids[0]->type();
-    const auto *MT = dyn_cast_or_null<MethodType>(FunTy);
+    Tree *Fun = KidsChanged ? KidScratch[Base].get() : T->kid(0);
+    const auto *MT = dyn_cast_or_null<MethodType>(Fun->type());
     const Type *ResultTy = MT ? MT->result() : ErasedTy;
-    Node = Trees.makeApply(
-        T->loc(), std::move(NewKids[0]),
-        TreeList(std::make_move_iterator(NewKids.begin() + 1),
-                 std::make_move_iterator(NewKids.end())),
-        ResultTy);
-    if (ResultTy != ErasedTy && ErasedTy &&
-        !Comp.types().isSubtype(ResultTy, ErasedTy))
+    bool Keep = Reuse && ResultTy == T->type();
+    bool Cast = ResultTy != ErasedTy && ErasedTy &&
+                !Comp.types().isSubtype(ResultTy, ErasedTy);
+    if (Keep && !Cast)
+      return nullptr;
+    TreePtr Node = Keep ? TreePtr(T)
+                        : TreePtr(Trees.makeApply(T->loc(), Kids(), N,
+                                                  ResultTy));
+    if (Cast)
       Node = Trees.makeTyped(T->loc(), std::move(Node), ErasedTy);
     return Node;
   }
@@ -185,44 +247,42 @@ TreePtr ErasurePhase::eraseTree(Tree *T, CompilerContext &Comp) {
     const Type *OldTy = T->type();
     bool IsValuePos = OldTy && !isa<MethodType>(OldTy) &&
                       !isa<PolyType>(OldTy);
-    if (IsValuePos && Sym && Sym->info() &&
-        !isa<MethodType>(Sym->info())) {
-      // Field read: value has the erased declared type; cast if the
-      // static type was more precise.
-      const Type *DeclTy = Sym->info();
-      TreePtr Node = Trees.makeSelect(T->loc(), std::move(NewKids[0]),
-                                      Sym, DeclTy);
-      if (DeclTy != ErasedTy && ErasedTy &&
-          !Comp.types().isSubtype(DeclTy, ErasedTy))
-        return Trees.makeTyped(T->loc(), std::move(Node), ErasedTy);
-      return Node;
-    }
-    // Method position: erase the signature recorded on the node.
-    return Trees.makeSelect(T->loc(), std::move(NewKids[0]), Sym,
-                            ErasedTy);
+    // Field read: value has the erased declared type; cast if the static
+    // type was more precise. Method position: erase the signature
+    // recorded on the node.
+    bool IsField =
+        IsValuePos && Sym && Sym->info() && !isa<MethodType>(Sym->info());
+    const Type *NodeTy = IsField ? Sym->info() : ErasedTy;
+    bool Keep = Reuse && NodeTy == OldTy;
+    bool Cast = IsField && NodeTy != ErasedTy && ErasedTy &&
+                !Comp.types().isSubtype(NodeTy, ErasedTy);
+    if (Keep && !Cast)
+      return nullptr;
+    TreePtr Node =
+        Keep ? TreePtr(T)
+             : TreePtr(Trees.makeSelect(T->loc(), std::move(Kids()[0]), Sym,
+                                        NodeTy));
+    if (Cast)
+      Node = Trees.makeTyped(T->loc(), std::move(Node), ErasedTy);
+    return Node;
   }
   default:
-    break;
+    assert(false && "eraseNode called on a kind without its own rule");
+    return nullptr;
   }
-
-  TreePtr Node;
-  if (KidsChanged)
-    Node = Trees.withNewChildrenForced(T, std::move(NewKids));
-  else
-    Node = TreePtr(T);
-  if (ErasedTy != Node->type())
-    Node = Trees.withType(Node.get(), ErasedTy);
-  return Node;
 }
 
 void ErasurePhase::runOnUnit(CompilationUnit &Unit, CompilerContext &Comp) {
+  TypeMemo Memo;
   // Global symbol-table rewrite happens once per pipeline run — the global
   // mutation that makes Erasure unfusable (rule 3).
   if (!SymbolsErased) {
-    eraseSymbolInfos(Comp);
+    eraseSymbolInfos(Comp, Memo);
     SymbolsErased = true;
   }
-  Unit.Root = eraseTree(Unit.Root.get(), Comp);
+  assert(KidScratch.empty() && "scratch leaked from a previous run");
+  if (TreePtr Root = eraseTree(Unit.Root.get(), Comp, Memo))
+    Unit.Root = std::move(Root);
 }
 
 /// True when \p T contains no pre-erasure type forms.

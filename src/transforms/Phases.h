@@ -12,6 +12,7 @@
 #define MPC_TRANSFORMS_PHASES_H
 
 #include "core/Phase.h"
+#include "support/FlatPtrMap.h"
 
 #include <map>
 #include <set>
@@ -220,9 +221,30 @@ public:
   static const Type *eraseType(const Type *T, CompilerContext &Comp);
 
 private:
-  TreePtr eraseTree(Tree *T, CompilerContext &Comp);
-  void eraseSymbolInfos(CompilerContext &Comp);
+  /// Erased form of every type met during one runOnUnit call. Types are
+  /// interned and erasure is pure within a run; the table dies with the
+  /// call, so it cannot outlive a warm context's reset(), which reuses
+  /// type addresses.
+  using TypeMemo = FlatPtrMap<const Type *, const Type *>;
+
+  static const Type *erase(const Type *T, CompilerContext &Comp,
+                           TypeMemo &Memo);
+  /// Erases the subtree rooted at \p T. Returns null when the result is
+  /// \p T itself, so an unchanged subtree costs no refcount traffic.
+  TreePtr eraseTree(Tree *T, CompilerContext &Comp, TypeMemo &Memo);
+  /// The rules for TypeApply, New, SeqLiteral, Apply and Select, whose
+  /// erased children (if any changed) sit on KidScratch from \p Base.
+  /// Same null convention; the last four keep an unchanged node except
+  /// under AlwaysCopy.
+  TreePtr eraseNode(Tree *T, size_t Base, bool KidsChanged,
+                    const Type *ErasedTy, CompilerContext &Comp,
+                    TypeMemo &Memo);
+  void eraseSymbolInfos(CompilerContext &Comp, TypeMemo &Memo);
   bool SymbolsErased = false;
+  /// Stack-shaped scratch holding the erased children of every node on
+  /// the current recursion spine (the FusedBlock::walk scheme): no
+  /// per-node child list is ever allocated.
+  std::vector<TreePtr> KidScratch;
 };
 
 //===--- Block C: fields, traits, closures' captures -----------------------===//
@@ -296,7 +318,8 @@ public:
   TreePtr transformAssign(Assign *T, PhaseRunContext &Ctx) override;
 
 private:
-  std::set<Symbol *> Boxed;
+  /// Locals to box (the value is unused; FlatPtrMap serves as a set).
+  FlatPtrMap<Symbol *, bool> Boxed;
 };
 
 //===--- Block D: constructors and closures --------------------------------===//
@@ -359,7 +382,7 @@ private:
     std::vector<Symbol *> FreeVars;
     ClassSymbol *HostClass = nullptr;
   };
-  std::map<Symbol *, LiftInfo> Lifted;
+  FlatPtrMap<Symbol *, LiftInfo> Lifted;
   std::map<ClassSymbol *, TreeList> Pending;
   std::vector<ClassSymbol *> ClassStack;
 };

@@ -4,12 +4,16 @@
 // including) the phase's group and inspecting the lowered tree.
 //===----------------------------------------------------------------------===//
 
+#include "ast/TreePrinter.h"
 #include "ast/TreeUtils.h"
 #include "core/Pipeline.h"
+#include "driver/Driver.h"
 #include "frontend/Frontend.h"
 #include "transforms/StandardPlan.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace mpc;
 
@@ -222,6 +226,57 @@ class C {
   });
 }
 
+/// A unit whose types are all erased already by the end of block B, and
+/// which holds every kind Erasure rebuilds: Apply, Select, New and
+/// SeqLiteral.
+const char *AlreadyErased = R"(
+class C {
+  def f(x: Int): Int = x + 1
+  def sum(xs: Int*): Int = xs.length
+  def g(): Int = f(2) + sum(1, 2, 3) + new C().f(3)
+}
+)";
+
+bool isRebuiltKind(const Tree *T) {
+  return isa<Apply>(T) || isa<Select>(T) || isa<New>(T) ||
+         isa<SeqLiteral>(T);
+}
+
+TEST(ErasureTest, NothingToEraseReturnsTheSameRoot) {
+  CompilerContext Comp;
+  CompilationUnit U = lowerThrough(Comp, AlreadyErased, "ExplicitOuter");
+  ASSERT_EQ(countKind(U.Root.get(), TreeKind::SeqLiteral), 1u);
+  ASSERT_EQ(countKind(U.Root.get(), TreeKind::New), 1u);
+  Tree *Before = U.Root.get();
+  uint64_t Created = Comp.trees().nodesCreated();
+  ErasurePhase Erasure;
+  Erasure.runOnUnit(U, Comp);
+  EXPECT_EQ(U.Root.get(), Before);
+  EXPECT_EQ(Comp.trees().nodesCreated(), Created);
+}
+
+TEST(ErasureTest, AlwaysCopyRebuildsApplySelectNewAndSeqLiteral) {
+  // The Legacy baseline (Fig. 9) must keep allocating these four kinds
+  // afresh even when erasure leaves them unchanged.
+  CompilerContext Comp;
+  CompilationUnit U = lowerThrough(Comp, AlreadyErased, "ExplicitOuter");
+  // Holding the input keeps its addresses from being reused below.
+  TreePtr Input = U.Root;
+  std::set<const Tree *> Old;
+  forEachSubtree(Input.get(), [&](Tree *T) { Old.insert(T); });
+  Comp.options().AlwaysCopy = true;
+  ErasurePhase Erasure;
+  Erasure.runOnUnit(U, Comp);
+  std::set<TreeKind> Kinds;
+  forEachSubtree(U.Root.get(), [&](Tree *T) {
+    if (!isRebuiltKind(T))
+      return;
+    Kinds.insert(T->kind());
+    EXPECT_EQ(Old.count(T), 0u) << treeKindName(T->kind()) << " reused";
+  });
+  EXPECT_EQ(Kinds.size(), 4u);
+}
+
 TEST(LazyValsTest, ExpandsToFlagAndStorage) {
   CompilerContext Comp;
   CompilationUnit U = lowerThrough(Comp, R"(
@@ -331,6 +386,75 @@ class C {
   forEachSubtree(U.Root.get(), [&](Tree *T) {
     EXPECT_TRUE(FP.checkPostCondition(T, Comp));
   });
+}
+
+/// a2 calls b2 and then c2, b2 calls d, and d, b2 and c2 each capture one
+/// variable: a2's lifted parameters depend on the order the free-variable
+/// fixpoint visits the local methods.
+const char *LiftOrder = R"(
+object Main {
+  def run(n: Int): Int = {
+    val a = n + 1
+    val b = n + 2
+    val c = n + 3
+    def d(): Int = a
+    def b2(): Int = b + d()
+    def c2(): Int = c
+    def a2(): Int = b2() + c2()
+    a2()
+  }
+  def main(args: Array[String]): Unit = println(run(1))
+}
+)";
+
+struct LiftOutcome {
+  std::vector<std::string> A2Params;
+  std::string Dump;
+};
+
+LiftOutcome compileLiftOrder(CompilerContext &Comp, PipelineKind Kind) {
+  LiftOutcome R;
+  CompileOutput Out = compileProgram(Comp, {{"t.scala", LiftOrder}}, Kind);
+  EXPECT_FALSE(Comp.diags().hasErrors());
+  PrintOptions PO;
+  PO.ShowTypes = true;
+  for (const CompilationUnit &U : Out.Units) {
+    R.Dump += treeToString(U.Root.get(), PO);
+    std::vector<Tree *> Defs;
+    collectKind(U.Root.get(), TreeKind::DefDef, Defs);
+    for (Tree *D : Defs) {
+      auto *DD = cast<DefDef>(D);
+      if (DD->sym()->name().text() != "a2")
+        continue;
+      for (unsigned I = 0; I < DD->numParamsTotal(); ++I)
+        R.A2Params.emplace_back(
+            cast<ValDef>(DD->paramAt(I))->sym()->name().text());
+    }
+  }
+  return R;
+}
+
+TEST(LambdaLiftTest, FreeVariableOrderFollowsTheSource) {
+  CompilerContext Cold;
+  LiftOutcome Fused = compileLiftOrder(Cold, PipelineKind::StandardFused);
+  EXPECT_EQ(Fused.A2Params, (std::vector<std::string>{"b", "a", "c"}));
+
+  CompilerContext Other;
+  LiftOutcome Unfused =
+      compileLiftOrder(Other, PipelineKind::StandardUnfused);
+  EXPECT_EQ(Unfused.A2Params, Fused.A2Params);
+  EXPECT_EQ(Unfused.Dump, Fused.Dump);
+
+  // A recycled context allocates its symbols at other addresses, in
+  // another order; the output must not notice.
+  CompilerContext Warm;
+  for (int Round = 0; Round < 3; ++Round) {
+    compileLiftOrder(Warm, PipelineKind::StandardFused);
+    Warm.reset();
+  }
+  LiftOutcome Recycled = compileLiftOrder(Warm, PipelineKind::StandardFused);
+  EXPECT_EQ(Recycled.A2Params, Fused.A2Params);
+  EXPECT_EQ(Recycled.Dump, Fused.Dump);
 }
 
 TEST(SplitterTest, NoUnionSelectionsAfterGroupB) {
