@@ -6,6 +6,8 @@
 #include "support/Timer.h"
 #include "transforms/StandardPlan.h"
 
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,18 +15,39 @@
 using namespace mpc;
 using namespace mpc::bench;
 
+[[noreturn]] static void badEnv(const char *Name, const char *Value,
+                                const char *Want) {
+  std::fprintf(stderr, "%s=%s: expected %s\n", Name, Value, Want);
+  std::exit(2);
+}
+
 double mpc::bench::benchScale(double Def) {
-  if (const char *Env = std::getenv("MPC_BENCH_SCALE"))
-    return std::atof(Env);
-  return Def;
+  const char *Env = std::getenv("MPC_BENCH_SCALE");
+  if (!Env)
+    return Def;
+  char *End = nullptr;
+  double Scale = std::strtod(Env, &End);
+  if (End == Env || *End != '\0' || !std::isfinite(Scale) || Scale <= 0)
+    badEnv("MPC_BENCH_SCALE", Env, "a finite number > 0");
+  return Scale;
 }
 
 unsigned mpc::bench::benchReps(unsigned Def) {
-  if (const char *Env = std::getenv("MPC_BENCH_REPS")) {
-    int N = std::atoi(Env);
-    return N < 2 ? 2u : static_cast<unsigned>(N);
-  }
-  return Def;
+  const char *Env = std::getenv("MPC_BENCH_REPS");
+  if (!Env)
+    return Def;
+  char *End = nullptr;
+  errno = 0;
+  long N = std::strtol(Env, &End, 10);
+  if (End == Env || *End != '\0' || errno == ERANGE || N > INT_MAX)
+    badEnv("MPC_BENCH_REPS", Env, "an integer");
+  return N < 2 ? 2u : static_cast<unsigned>(N);
+}
+
+void mpc::bench::printScaleReps(double Scale, unsigned Reps) {
+  std::printf("workload scale: %.2f, repetitions: %u "
+              "(MPC_BENCH_SCALE / MPC_BENCH_REPS to change)\n",
+              Scale, Reps);
 }
 
 SampleStats mpc::bench::meanCv(const std::vector<double> &Samples) {
@@ -49,18 +72,6 @@ std::string mpc::bench::fmtMeanCv(const SampleStats &S) {
   char Buf[48];
   std::snprintf(Buf, sizeof(Buf), "%.3fs ±%.1f%%", S.Mean, S.CvPct);
   return Buf;
-}
-
-void mpc::bench::jsonMetric(const std::string &Bench, const std::string &Key,
-                            double Value) {
-  const char *Path = std::getenv("MPC_BENCH_JSON");
-  if (!Path)
-    return;
-  if (std::FILE *F = std::fopen(Path, "a")) {
-    std::fprintf(F, "{\"bench\":\"%s\",\"key\":\"%s\",\"value\":%.6f}\n",
-                 Bench.c_str(), Key.c_str(), Value);
-    std::fclose(F);
-  }
 }
 
 RunResult mpc::bench::runOnce(const WorkloadProfile &Profile,
@@ -115,8 +126,6 @@ RunResult mpc::bench::runOnce(const WorkloadProfile &Profile,
       R.NodesVisited = PR.NodesVisited;
       R.HooksExecuted = PR.HooksExecuted;
       R.SubtreesPruned = PR.SubtreesPruned;
-      R.PrepareOnlyWalks = PR.PrepareOnlyWalks;
-      R.TransformRealAllocs = PR.RealAllocs;
     }
     if (Stop == StopAfter::Everything) {
       T.reset();
@@ -134,7 +143,6 @@ RunResult mpc::bench::runOnce(const WorkloadProfile &Profile,
     R.RealAllocs = Backend.SystemCalls;
     R.SlabHits = Backend.SlabAllocs;
     R.PagesMapped = Backend.PagesMapped;
-    R.PagesRetired = Backend.PagesRetired;
   }
   R.Cache = CS.counters();
   R.Perf = PC.stats();

@@ -40,14 +40,11 @@ struct RunResult {
   uint64_t NodesVisited = 0;
   uint64_t HooksExecuted = 0;
   uint64_t SubtreesPruned = 0;
-  uint64_t PrepareOnlyWalks = 0;
-  /// Real-storage allocator counters (system-allocator calls, slab-served
-  /// allocations, slab pages) — whole run and transform-stage slice.
+  /// Real-storage allocator counters for the whole run (system-allocator
+  /// calls, slab-served allocations, slab pages).
   uint64_t RealAllocs = 0;
   uint64_t SlabHits = 0;
   uint64_t PagesMapped = 0;
-  uint64_t PagesRetired = 0;
-  uint64_t TransformRealAllocs = 0;
   HeapStats Heap;        // whole-run heap statistics
   CacheCounters Cache;   // simulated cache counters (when simulated)
   PerfStats Perf;        // simulated instruction/cycle counters
@@ -74,12 +71,17 @@ IsolatedTransforms isolateTransforms(const WorkloadProfile &Profile,
                                      uint64_t YoungGenBytes = 0);
 
 /// Reads MPC_BENCH_SCALE (default \p Def) — lets CI run the benches at
-/// reduced size.
+/// reduced size. A value that does not parse, or is not finite and > 0,
+/// prints the variable's name and exits with status 2.
 double benchScale(double Def = 1.0);
 
 /// Reads MPC_BENCH_REPS (default \p Def, floor 2) — how many repetitions
-/// the figure benches measure per configuration.
+/// the figure benches measure per configuration. A value that does not
+/// parse as an integer prints the variable's name and exits with status 2.
 unsigned benchReps(unsigned Def = 5);
+
+/// Prints the scale and repetition count a bench runs with.
+void printScaleReps(double Scale, unsigned Reps);
 
 /// Mean and coefficient of variation of a sample set.
 struct SampleStats {
@@ -90,12 +92,6 @@ SampleStats meanCv(const std::vector<double> &Samples);
 
 /// Formats a measured time with its spread: "0.123s ±2.1%".
 std::string fmtMeanCv(const SampleStats &S);
-
-/// When MPC_BENCH_JSON names a file, appends one JSON-lines record
-/// {"bench":...,"key":...,"value":...} — the machine-readable trail the
-/// CI bench job archives. No-op otherwise.
-void jsonMetric(const std::string &Bench, const std::string &Key,
-                double Value);
 
 /// Formatting helpers.
 void printHeader(const std::string &Title, const std::string &PaperClaim);

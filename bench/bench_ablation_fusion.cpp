@@ -75,9 +75,7 @@ int main() {
   double Scale = benchScale(0.6);
   unsigned Reps = benchReps();
   WorkloadProfile P = stdlibProfile(Scale);
-  std::printf("workload scale: %.2f, repetitions: %u "
-              "(MPC_BENCH_SCALE / MPC_BENCH_REPS to change)\n",
-              Scale, Reps);
+  printScaleReps(Scale, Reps);
 
   // Warm up the allocator before measuring.
   runConfig(stdlibProfile(0.05), FusionStrategy::IndexedByKind, true, true, 1);
@@ -123,18 +121,5 @@ int main() {
                   .c_str(),
               fmtPct(-BestCut).c_str(),
               fmtPct(Shipped.Time.Mean / NoSkip.Time.Mean - 1.0).c_str());
-
-  jsonMetric("ablation_fusion", "shipped_sec", Shipped.Time.Mean);
-  jsonMetric("ablation_fusion", "shipped_cv_pct", Shipped.Time.CvPct);
-  jsonMetric("ablation_fusion", "noprune_sec", NoPrune.Time.Mean);
-  jsonMetric("ablation_fusion", "naive_sec", Naive.Time.Mean);
-  jsonMetric("ablation_fusion", "noskip_sec", NoSkip.Time.Mean);
-  jsonMetric("ablation_fusion", "nodes_visited_shipped",
-             double(Shipped.Visited));
-  jsonMetric("ablation_fusion", "nodes_visited_noprune",
-             double(NoPrune.Visited));
-  jsonMetric("ablation_fusion", "subtrees_pruned", double(Shipped.Pruned));
-  jsonMetric("ablation_fusion", "best_block_visited_cut_pct",
-             100.0 * BestCut);
   return 0;
 }

@@ -8,8 +8,8 @@
 // hit rate, and the service.cache* counters.
 //
 // Protocol: MPC_BENCH_REPS repetitions (default 5, fresh service and
-// therefore cold cache per rep), mean ±CV. MPC_BENCH_THREADS overrides
-// the worker count.
+// therefore cold cache per rep), mean ±CV, one worker per hardware
+// thread.
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -26,12 +26,6 @@ using namespace mpc;
 using namespace mpc::bench;
 
 namespace {
-
-unsigned benchThreads() {
-  if (const char *Env = std::getenv("MPC_BENCH_THREADS"))
-    return static_cast<unsigned>(std::atoi(Env));
-  return 0; // hardware concurrency
-}
 
 std::vector<std::vector<SourceInput>> makeJobSources(unsigned NumJobs,
                                                      double Scale) {
@@ -63,7 +57,6 @@ Outcome measure(const std::vector<std::vector<SourceInput>> &JobSources,
   uint64_t WarmHits = 0, WarmLookups = 0;
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
     ServiceConfig Cfg;
-    Cfg.Threads = benchThreads();
     Cfg.Cache.Enabled = CacheEnabled;
     CompileService Service(Cfg);
     uint64_t HitsBefore = 0, MissesBefore = 0;
@@ -149,16 +142,5 @@ int main() {
               (unsigned long long)On.CacheMisses,
               (unsigned long long)On.CacheBytes,
               (unsigned long long)On.CacheEvictions);
-
-  jsonMetric("cache_warm_edit", "cold_jobs_per_sec", On.ColdJobsPerSec.Mean);
-  jsonMetric("cache_warm_edit", "warm_jobs_per_sec", On.WarmJobsPerSec.Mean);
-  jsonMetric("cache_warm_edit", "warm_cv_pct", On.WarmJobsPerSec.CvPct);
-  jsonMetric("cache_warm_edit", "nocache_warm_jobs_per_sec",
-             Off.WarmJobsPerSec.Mean);
-  jsonMetric("cache_warm_edit", "warm_speedup_vs_cold",
-             On.WarmJobsPerSec.Mean / On.ColdJobsPerSec.Mean);
-  jsonMetric("cache_warm_edit", "hit_rate_pct", On.HitRatePct);
-  jsonMetric("cache_warm_edit", "cache_hits", double(On.CacheHits));
-  jsonMetric("cache_warm_edit", "cache_bytes", double(On.CacheBytes));
   return 0;
 }

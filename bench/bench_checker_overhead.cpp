@@ -93,10 +93,6 @@ void runWorkload(const WorkloadProfile &P, unsigned Reps) {
               (unsigned long long)Failures);
   if (Failures != 0)
     std::abort();
-
-  jsonMetric("checker_" + P.Name, "total_off_sec", OffA.Mean);
-  jsonMetric("checker_" + P.Name, "total_on_sec", OnA.Mean);
-  jsonMetric("checker_" + P.Name, "total_ratio", OnA.Mean / OffA.Mean);
 }
 
 } // namespace
@@ -106,9 +102,7 @@ int main() {
               "approximate whole-compiler slowdown about 1.5x");
   double Scale = benchScale(0.5);
   unsigned Reps = benchReps();
-  std::printf("workload scale: %.2f, repetitions: %u "
-              "(MPC_BENCH_SCALE / MPC_BENCH_REPS to change)\n",
-              Scale, Reps);
+  printScaleReps(Scale, Reps);
   runWorkload(stdlibProfile(Scale), Reps);
   runWorkload(dottyProfile(Scale), Reps);
   return 0;

@@ -68,14 +68,6 @@ void runWorkload(const WorkloadProfile &P, unsigned Reps) {
   std::printf("  measured total speedup:     %s   (paper: %s)\n",
               fmtPct(AF.Mean / AU.Mean - 1.0).c_str(),
               P.Name == "stdlib" ? "-15%" : "-16%");
-
-  jsonMetric("fig4_" + P.Name, "fused_total_sec", AF.Mean);
-  jsonMetric("fig4_" + P.Name, "fused_total_cv_pct", AF.CvPct);
-  jsonMetric("fig4_" + P.Name, "unfused_total_sec", AU.Mean);
-  jsonMetric("fig4_" + P.Name, "fused_transform_sec", TF.Mean);
-  jsonMetric("fig4_" + P.Name, "unfused_transform_sec", TU.Mean);
-  jsonMetric("fig4_" + P.Name, "subtrees_pruned",
-             double(Fused.Last.SubtreesPruned));
 }
 
 } // namespace
@@ -86,9 +78,7 @@ int main() {
               "-15% / -16%");
   double Scale = benchScale(1.0);
   unsigned Reps = benchReps();
-  std::printf("workload scale: %.2f, repetitions: %u "
-              "(MPC_BENCH_SCALE / MPC_BENCH_REPS to change)\n",
-              Scale, Reps);
+  printScaleReps(Scale, Reps);
   // Warm up the allocator before measuring.
   runOnce(stdlibProfile(0.05), PipelineKind::StandardFused,
           StopAfter::Everything, false);

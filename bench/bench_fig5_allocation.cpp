@@ -7,8 +7,8 @@
 // transform wall time is reported as mean ± CV. The bench additionally
 // reports the REAL allocator side — system-allocator calls per fused
 // pipeline run with the slab backend on vs. off — which is the number the
-// allocation-layer overhaul is accountable for (tracked in BENCH_ci.json
-// as allocations / objects / peak-live / real-allocation metrics).
+// allocation-layer overhaul is accountable for, and the measurement that
+// keeps CompilerOptions::SlabHeap.
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -74,20 +74,6 @@ static void runWorkload(const WorkloadProfile &P, const char *PaperDelta,
               fmtPct(double(SlabOn.RealAllocs) / double(SlabOff.RealAllocs) -
                      1.0)
                   .c_str());
-
-  const std::string Tag = "fig5_" + P.Name;
-  jsonMetric(Tag, "fused_alloc_bytes", double(A));
-  jsonMetric(Tag, "unfused_alloc_bytes", double(B));
-  jsonMetric(Tag, "fused_alloc_objects", double(Fused.Heap.AllocatedObjects));
-  jsonMetric(Tag, "unfused_alloc_objects",
-             double(Unfused.Heap.AllocatedObjects));
-  jsonMetric(Tag, "peak_live_bytes", double(SlabOn.Heap.PeakLiveBytes));
-  jsonMetric(Tag, "fused_transform_sec", TF.Mean);
-  jsonMetric(Tag, "fused_transform_cv_pct", TF.CvPct);
-  jsonMetric(Tag, "real_allocs_slab_on", double(SlabOn.RealAllocs));
-  jsonMetric(Tag, "real_allocs_slab_off", double(SlabOff.RealAllocs));
-  jsonMetric(Tag, "slab_pages_mapped", double(SlabOn.PagesMapped));
-  jsonMetric(Tag, "slab_hits", double(SlabOn.SlabHits));
 }
 
 int main() {
@@ -95,7 +81,7 @@ int main() {
               "miniphases allocate 9% less (stdlib) / 5% less (dotty)");
   double Scale = benchScale(1.0);
   unsigned Reps = benchReps();
-  std::printf("workload scale: %.2f, repetitions: %u\n", Scale, Reps);
+  printScaleReps(Scale, Reps);
   runWorkload(stdlibProfile(Scale), "-9%", Reps);
   runWorkload(dottyProfile(Scale), "-5%", Reps);
   return 0;

@@ -42,10 +42,6 @@ static void runWorkload(const WorkloadProfile &P, const char *PaperDelta,
               (unsigned long long)Unfused.Heap.TenuredObjects);
   std::printf("  measured delta: %s   (paper: %s)\n",
               fmtPct(FS.Mean / US.Mean - 1.0).c_str(), PaperDelta);
-
-  jsonMetric("fig6_" + P.Name, "fused_tenured_mb", FS.Mean);
-  jsonMetric("fig6_" + P.Name, "unfused_tenured_mb", US.Mean);
-  jsonMetric("fig6_" + P.Name, "tenured_cv_pct", FS.CvPct);
 }
 
 /// The mechanism behind the figure, isolated: N nodes each rewritten
@@ -106,7 +102,7 @@ int main() {
               "miniphases tenure 49% less (stdlib) / 55% less (dotty)");
   double Scale = benchScale(1.0);
   unsigned Reps = benchReps();
-  std::printf("workload scale: %.2f, repetitions: %u\n", Scale, Reps);
+  printScaleReps(Scale, Reps);
   runWorkload(stdlibProfile(Scale), "-49%", Reps);
   runWorkload(dottyProfile(Scale), "-55%", Reps);
   mechanismPanel();

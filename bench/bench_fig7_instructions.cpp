@@ -39,8 +39,6 @@ static void runWorkload(const WorkloadProfile &P, unsigned Reps) {
     std::printf("  %-16s %14.0f ±%.1f%% %14.0f ±%.1f%% %10s\n", Name,
                 SA.Mean, SA.CvPct, SB.Mean, SB.CvPct,
                 fmtPct(SA.Mean / SB.Mean - 1.0).c_str());
-    jsonMetric("fig7_" + P.Name, std::string(Name) + "_fused", SA.Mean);
-    jsonMetric("fig7_" + P.Name, std::string(Name) + "_unfused", SB.Mean);
   };
   Row("instructions", FI, UI);
   Row("cycles", FC, UC);
@@ -52,9 +50,7 @@ int main() {
               "instructions -10%, cycles -35%");
   double Scale = benchScale(1.0);
   unsigned Reps = benchReps();
-  std::printf("workload scale: %.2f, repetitions: %u (simulation; "
-              "MPC_BENCH_SCALE / MPC_BENCH_REPS to change)\n",
-              Scale, Reps);
+  printScaleReps(Scale, Reps);
   runWorkload(stdlibProfile(Scale), Reps);
   runWorkload(dottyProfile(Scale), Reps);
   return 0;

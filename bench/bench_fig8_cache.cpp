@@ -61,14 +61,6 @@ static void runWorkload(const WorkloadProfile &P, unsigned Reps) {
         U.Cache.MemoryAccesses, "-47% (512M -> 278M)");
   std::printf("  (d) L1-icache misses\n");
   Count("L1i load misses", F.Cache.L1IMisses, U.Cache.L1IMisses, "-24%");
-
-  const std::string Tag = "fig8_" + P.Name;
-  jsonMetric(Tag, "l1d_load_miss_rate_fused", F.Cache.l1dLoadMissRate());
-  jsonMetric(Tag, "l1d_load_miss_rate_unfused", U.Cache.l1dLoadMissRate());
-  jsonMetric(Tag, "memory_accesses_fused", double(F.Cache.MemoryAccesses));
-  jsonMetric(Tag, "memory_accesses_unfused", double(U.Cache.MemoryAccesses));
-  jsonMetric(Tag, "sim_transform_sec_fused", TF.Mean);
-  jsonMetric(Tag, "sim_transform_cv_pct", TF.CvPct);
 }
 
 int main() {
@@ -78,8 +70,7 @@ int main() {
               "-24%");
   double Scale = benchScale(1.0);
   unsigned Reps = benchReps();
-  std::printf("workload scale: %.2f (simulation), repetitions: %u\n", Scale,
-              Reps);
+  printScaleReps(Scale, Reps);
   runWorkload(stdlibProfile(Scale), Reps);
   runWorkload(dottyProfile(Scale), Reps);
   return 0;

@@ -68,13 +68,6 @@ static void runWorkload(const WorkloadProfile &P, const char *PaperTrans,
   std::printf("  total:      dotty uses %.0f%% of scalac's time (paper: "
               "%s)\n",
               100.0 * TotalD / TotalS, PaperTotal);
-
-  jsonMetric("fig9_" + P.Name, "dotty_total_sec", TotalD);
-  jsonMetric("fig9_" + P.Name, "scalac_total_sec", TotalS);
-  jsonMetric("fig9_" + P.Name, "dotty_transform_sec",
-             Mean(Dotty.Transform));
-  jsonMetric("fig9_" + P.Name, "scalac_transform_sec",
-             Mean(Scalac.Transform));
 }
 
 int main() {
@@ -83,7 +76,7 @@ int main() {
               "in 51%/58% of total time");
   double Scale = benchScale(1.0);
   unsigned Reps = benchReps();
-  std::printf("workload scale: %.2f, repetitions: %u\n", Scale, Reps);
+  printScaleReps(Scale, Reps);
   // Warm up the allocator before measuring.
   runOnce(stdlibProfile(0.05), PipelineKind::StandardFused,
           StopAfter::Everything, false);

@@ -7,8 +7,7 @@
 //
 // The tables themselves are static; the measured component (plan
 // construction + fusion-block assembly) follows the shared 5-rep meanCv
-// protocol and lands in the JSON metric trail with the phase/group
-// counts, so a regression in pipeline-assembly cost shows up in CI.
+// protocol.
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -24,6 +23,7 @@ using namespace mpc;
 using namespace mpc::bench;
 
 int main() {
+  unsigned Reps = benchReps();
   std::vector<std::string> Errors;
 
   std::printf("Table 2 analogue — the Miniphase pipeline "
@@ -50,7 +50,6 @@ int main() {
 
   // Measured component: plan construction (phase instantiation + fusion
   // grouping), per the shared repetition protocol.
-  unsigned Reps = benchReps();
   std::vector<double> BuildSec;
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
     Timer T;
@@ -63,10 +62,5 @@ int main() {
   SampleStats S = meanCv(BuildSec);
   std::printf("\nplan construction (both pipelines): %s over %u reps\n",
               fmtMeanCv(S).c_str(), Reps);
-  jsonMetric("tables_phases", "plan_build_sec", S.Mean);
-  jsonMetric("tables_phases", "fused_phases", double(Fused.phaseCount()));
-  jsonMetric("tables_phases", "fused_groups",
-             double(Fused.groups().size()));
-  jsonMetric("tables_phases", "legacy_phases", double(Legacy.phaseCount()));
   return 0;
 }

@@ -92,7 +92,7 @@ namespace {
 
 /// Superinstruction fusion rules: (first, second) -> fused. The pairs were
 /// picked from measured dynamic pair frequencies on the workload families
-/// (bench_interp --pairs); compare-and-branch dominates loop-heavy code,
+/// (bench_vm_pairs); compare-and-branch dominates loop-heavy code,
 /// load-load and load-const feed nearly every binary operation.
 struct FuseRule {
   LOp First, Second, Fused;

@@ -45,7 +45,7 @@ public:
 
   /// Enables dynamic opcode-pair counting (a NumLOps x NumLOps matrix of
   /// (previous, current) dispatch counts). Adds a branch to the dispatch
-  /// loop; used by bench_interp --pairs to measure which pairs are worth
+  /// loop; used by bench_vm_pairs to measure which pairs are worth
   /// fusing into superinstructions. Count rows are read back with
   /// pairCounts().
   void enablePairCounts();

@@ -308,7 +308,6 @@ BatchResult CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf) {
   const SlabAllocator::Stats &Backend = Comp->heap().backendStats();
   uint64_t PagesFromPool0 = Backend.PagesFromPool;
   uint64_t PagesMapped0 = Backend.PagesMapped;
-  uint64_t SystemCalls0 = Backend.SystemCalls;
 
   BatchResult R = runBatchJob(std::move(Job), *Comp);
 
@@ -321,7 +320,6 @@ BatchResult CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf) {
     Sheaf.add("service.jobsFaulted", 1);
   Sheaf.add("service.pagesShared", Backend.PagesFromPool - PagesFromPool0);
   Sheaf.add("service.pagesMapped", Backend.PagesMapped - PagesMapped0);
-  Sheaf.add("service.realAllocs", Backend.SystemCalls - SystemCalls0);
   // Fold the job's pipeline counters into the service aggregate.
   Sheaf.merge(Comp->stats());
 

@@ -11,8 +11,7 @@
 /// A pool of worker connections executes the schedule; each worker is a
 /// CompileClient with the full retry/backoff stack, so the generator
 /// doubles as the end-to-end fault-tolerance driver (NetFaultTest) and
-/// as the latency bench (bench_service_latency sweeps RPS until the p99
-/// knee).
+/// as mpc_load_client's latency report.
 ///
 //===----------------------------------------------------------------------===//
 

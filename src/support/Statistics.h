@@ -53,8 +53,6 @@ public:
   /// (e.g. "fusion." for the fused-traversal counters).
   void printPrefixed(OStream &OS, const std::string &Prefix) const;
 
-  const std::map<std::string, uint64_t> &all() const { return Counters; }
-
 private:
   std::map<std::string, uint64_t> Counters;
 };
