@@ -2,24 +2,30 @@
 
 #include "support/OStream.h"
 
+#include <charconv>
+#include <cstdio>
+
 using namespace mpc;
 
 namespace {
+/// Appends the dump to one string: no stream or temporary per node.
 class Printer {
 public:
-  Printer(OStream &OS, const PrintOptions &Opts) : OS(OS), Opts(Opts) {}
+  Printer(std::string &Out, const PrintOptions &Opts) : Out(Out), Opts(Opts) {}
 
   void print(const Tree *T, unsigned Depth) {
-    OS.indent(Depth * 2);
+    Out.append(Depth * 2, ' ');
     if (!T) {
-      OS << "<empty>\n";
+      Out += "<empty>\n";
       return;
     }
-    OS << treeKindName(T->kind());
+    Out += treeKindName(T->kind());
     printPayload(T);
-    if (Opts.ShowTypes && T->type())
-      OS << " : " << T->type()->show();
-    OS << '\n';
+    if (Opts.ShowTypes && T->type()) {
+      Out += " : ";
+      T->type()->print(Out);
+    }
+    Out += '\n';
     if (Opts.MaxDepth && Depth + 1 >= Opts.MaxDepth)
       return;
     for (const TreePtr &K : T->kids())
@@ -27,14 +33,22 @@ public:
   }
 
 private:
+  template <typename IntT> void printInt(IntT N) {
+    char Buf[24];
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), N).ptr);
+  }
+
   void printSym(const Symbol *S) {
     if (!S) {
-      OS << " <nosym>";
+      Out += " <nosym>";
       return;
     }
-    OS << ' ' << S->name().text();
-    if (Opts.ShowSymbolIds)
-      OS << '#' << S->id();
+    Out += ' ';
+    Out += S->name().text();
+    if (Opts.ShowSymbolIds) {
+      Out += '#';
+      printInt(S->id());
+    }
   }
 
   void printPayload(const Tree *T) {
@@ -55,42 +69,52 @@ private:
       const Constant &C = cast<Literal>(T)->value();
       switch (C.kind()) {
       case Constant::Unit:
-        OS << " ()";
+        Out += " ()";
         break;
       case Constant::Bool:
-        OS << ' ' << C.boolValue();
+        Out += C.boolValue() ? " true" : " false";
         break;
       case Constant::Int:
-        OS << ' ' << C.intValue();
+        Out += ' ';
+        printInt(C.intValue());
         break;
-      case Constant::Double:
-        OS << ' ' << C.doubleValue();
+      case Constant::Double: {
+        // %g, as OStream prints a double.
+        char Buf[48];
+        const int N = std::snprintf(Buf, sizeof(Buf), " %g", C.doubleValue());
+        Out.append(Buf, static_cast<size_t>(N));
         break;
+      }
       case Constant::Str:
-        OS << " \"" << C.stringValue().text() << '"';
+        Out += " \"";
+        Out += C.stringValue().text();
+        Out += '"';
         break;
       case Constant::Null:
-        OS << " null";
+        Out += " null";
         break;
       case Constant::Clazz:
-        OS << " classOf[" << C.clazzValue()->show() << ']';
+        Out += " classOf[";
+        C.clazzValue()->print(Out);
+        Out += ']';
         break;
       }
       break;
     }
     case TreeKind::TypeApply: {
-      OS << " [";
+      Out += " [";
       const auto &Args = cast<TypeApply>(T)->typeArgs();
       for (size_t I = 0; I < Args.size(); ++I) {
         if (I)
-          OS << ", ";
-        OS << Args[I]->show();
+          Out += ", ";
+        Args[I]->print(Out);
       }
-      OS << ']';
+      Out += ']';
       break;
     }
     case TreeKind::New:
-      OS << ' ' << cast<New>(T)->classTy()->show();
+      Out += ' ';
+      cast<New>(T)->classTy()->print(Out);
       break;
     case TreeKind::Bind:
       printSym(cast<Bind>(T)->sym());
@@ -108,48 +132,61 @@ private:
       printSym(cast<Goto>(T)->label());
       break;
     case TreeKind::SeqLiteral:
-      OS << " elem=" << cast<SeqLiteral>(T)->elemType()->show();
+      Out += " elem=";
+      cast<SeqLiteral>(T)->elemType()->print(Out);
       break;
     case TreeKind::ValDef: {
       const auto *VD = cast<ValDef>(T);
       printSym(VD->sym());
-      if (VD->sym() && VD->sym()->info())
-        OS << " : " << VD->sym()->info()->show();
+      printInfo(VD->sym());
       break;
     }
     case TreeKind::DefDef: {
       const auto *DD = cast<DefDef>(T);
       printSym(DD->sym());
-      if (DD->sym() && DD->sym()->info())
-        OS << " : " << DD->sym()->info()->show();
+      printInfo(DD->sym());
       break;
     }
     case TreeKind::ClassDef:
       printSym(cast<ClassDef>(T)->sym());
       break;
     case TreeKind::PackageDef:
-      OS << ' '
-         << (cast<PackageDef>(T)->pkgName()
+      Out += ' ';
+      Out += cast<PackageDef>(T)->pkgName()
                  ? cast<PackageDef>(T)->pkgName().text()
-                 : std::string_view("<empty>"));
+                 : std::string_view("<empty>");
       break;
     default:
       break;
     }
   }
 
-  OStream &OS;
+  void printInfo(const Symbol *S) {
+    if (S && S->info()) {
+      Out += " : ";
+      S->info()->print(Out);
+    }
+  }
+
+  std::string &Out;
   const PrintOptions &Opts;
 };
 } // namespace
 
-void mpc::printTree(OStream &OS, const Tree *T, const PrintOptions &Opts) {
-  Printer P(OS, Opts);
+void mpc::appendTree(std::string &Out, const Tree *T,
+                     const PrintOptions &Opts) {
+  Printer P(Out, Opts);
   P.print(T, 0);
 }
 
+void mpc::printTree(OStream &OS, const Tree *T, const PrintOptions &Opts) {
+  std::string S;
+  appendTree(S, T, Opts);
+  OS << S;
+}
+
 std::string mpc::treeToString(const Tree *T, const PrintOptions &Opts) {
-  StringOStream OS;
-  printTree(OS, T, Opts);
-  return OS.str();
+  std::string S;
+  appendTree(S, T, Opts);
+  return S;
 }

@@ -16,12 +16,16 @@ namespace mpc {
 
 class OStream;
 
-/// Options for printTree.
+/// Options for appendTree / printTree / treeToString.
 struct PrintOptions {
   bool ShowTypes = false;
   bool ShowSymbolIds = false;
   unsigned MaxDepth = 0; // 0 = unlimited
 };
+
+/// Appends an indented structural dump of the subtree to \p Out.
+void appendTree(std::string &Out, const Tree *T,
+                const PrintOptions &Opts = PrintOptions());
 
 /// Prints an indented structural dump of the subtree.
 void printTree(OStream &OS, const Tree *T,

@@ -54,90 +54,117 @@ const Type *Type::widenByName() const {
 }
 
 std::string Type::show() const {
+  std::string S;
+  print(S);
+  return S;
+}
+
+namespace {
+void printList(std::string &Out, const std::vector<const Type *> &Tys) {
+  for (size_t I = 0; I < Tys.size(); ++I) {
+    if (I)
+      Out += ", ";
+    Tys[I]->print(Out);
+  }
+}
+} // namespace
+
+void Type::print(std::string &Out) const {
   switch (K) {
   case TypeKind::Primitive:
     switch (cast<PrimitiveType>(this)->prim()) {
     case PrimKind::Any:
-      return "Any";
+      Out += "Any";
+      return;
     case PrimKind::Nothing:
-      return "Nothing";
+      Out += "Nothing";
+      return;
     case PrimKind::Null:
-      return "Null";
+      Out += "Null";
+      return;
     case PrimKind::Unit:
-      return "Unit";
+      Out += "Unit";
+      return;
     case PrimKind::Int:
-      return "Int";
+      Out += "Int";
+      return;
     case PrimKind::Boolean:
-      return "Boolean";
+      Out += "Boolean";
+      return;
     case PrimKind::Double:
-      return "Double";
+      Out += "Double";
+      return;
     }
-    return "?";
+    break;
   case TypeKind::Class: {
     const auto *CT = cast<ClassType>(this);
-    std::string S(CT->cls()->name().text());
+    Out += CT->cls()->name().text();
     if (!CT->args().empty()) {
-      S += '[';
-      for (size_t I = 0; I < CT->args().size(); ++I) {
-        if (I)
-          S += ", ";
-        S += CT->args()[I]->show();
-      }
-      S += ']';
+      Out += '[';
+      printList(Out, CT->args());
+      Out += ']';
     }
-    return S;
+    return;
   }
   case TypeKind::Array:
-    return "Array[" + cast<ArrayType>(this)->elem()->show() + "]";
+    Out += "Array[";
+    cast<ArrayType>(this)->elem()->print(Out);
+    Out += ']';
+    return;
   case TypeKind::Method: {
     const auto *MT = cast<MethodType>(this);
-    std::string S = "(";
-    for (size_t I = 0; I < MT->params().size(); ++I) {
-      if (I)
-        S += ", ";
-      S += MT->params()[I]->show();
-    }
-    S += ")";
-    S += MT->result()->show();
-    return S;
+    Out += '(';
+    printList(Out, MT->params());
+    Out += ')';
+    MT->result()->print(Out);
+    return;
   }
   case TypeKind::Poly: {
     const auto *PT = cast<PolyType>(this);
-    std::string S = "[";
+    Out += '[';
     for (size_t I = 0; I < PT->typeParams().size(); ++I) {
       if (I)
-        S += ", ";
-      S += PT->typeParams()[I]->name().str();
+        Out += ", ";
+      Out += PT->typeParams()[I]->name().text();
     }
-    S += "]";
-    return S + PT->underlying()->show();
+    Out += ']';
+    PT->underlying()->print(Out);
+    return;
   }
   case TypeKind::Function: {
     const auto *FT = cast<FunctionType>(this);
-    std::string S = "(";
-    for (size_t I = 0; I < FT->params().size(); ++I) {
-      if (I)
-        S += ", ";
-      S += FT->params()[I]->show();
-    }
-    return S + ") => " + FT->result()->show();
+    Out += '(';
+    printList(Out, FT->params());
+    Out += ") => ";
+    FT->result()->print(Out);
+    return;
   }
   case TypeKind::Expr:
-    return "=> " + cast<ExprType>(this)->result()->show();
+    Out += "=> ";
+    cast<ExprType>(this)->result()->print(Out);
+    return;
   case TypeKind::Repeated:
-    return cast<RepeatedType>(this)->elem()->show() + "*";
+    cast<RepeatedType>(this)->elem()->print(Out);
+    Out += '*';
+    return;
   case TypeKind::Union:
-    return cast<UnionType>(this)->left()->show() + " | " +
-           cast<UnionType>(this)->right()->show();
+    cast<UnionType>(this)->left()->print(Out);
+    Out += " | ";
+    cast<UnionType>(this)->right()->print(Out);
+    return;
   case TypeKind::Intersection:
-    return cast<IntersectionType>(this)->left()->show() + " & " +
-           cast<IntersectionType>(this)->right()->show();
+    cast<IntersectionType>(this)->left()->print(Out);
+    Out += " & ";
+    cast<IntersectionType>(this)->right()->print(Out);
+    return;
   case TypeKind::TypeParam:
-    return cast<TypeParamRef>(this)->param()->name().str();
+    Out += cast<TypeParamRef>(this)->param()->name().text();
+    return;
   case TypeKind::Error:
-    return "<error>";
+    Out += "<error>";
+    return;
   }
-  return "?";
+  Out += '?';
 }
 
 //===----------------------------------------------------------------------===//

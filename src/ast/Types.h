@@ -74,6 +74,8 @@ public:
 
   /// Human-readable rendering ("Int", "List[Int]", "(Int, Int)Int", ...).
   std::string show() const;
+  /// Appends show() to \p Out.
+  void print(std::string &Out) const;
 
   virtual ~Type() = default;
 

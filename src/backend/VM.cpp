@@ -30,11 +30,13 @@
 
 #include "ast/Types.h"
 
+#include <bit>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <new>
-#include <sstream>
 
 using namespace mpc;
 
@@ -47,6 +49,11 @@ struct VMArr;
 /// interpreter carries separate I/D/S fields per value (so e.g. `V.I` of
 /// a Double reads a never-written zero); the helpers below (truthy /
 /// intOf / numOf) reproduce those reads against the union.
+///
+/// A value is always written whole, as one 16-byte store. The handlers
+/// copy values with 16-byte loads, and a load that spans two narrower
+/// stores (kind byte, then payload) cannot be forwarded from the store
+/// buffer: each such push-then-copy stalled the loop.
 struct VMValue {
   enum K : uint8_t {
     Unit,
@@ -72,8 +79,18 @@ struct VMValue {
     VMArr *A;
     const Type *Cl;
   };
-  VMValue() : Kind(Unit), I(0) {}
+  VMValue() : VMValue(Unit, 0) {}
+  /// Builds kind and payload as the two 8-byte lanes of one vector and
+  /// copies it in: one 16-byte store, with the padding zeroed.
+  VMValue(K Tag, uint64_t Payload) {
+    typedef uint64_t Lanes __attribute__((vector_size(16), aligned(8)));
+    const Lanes Raw = {Tag, Payload};
+    std::memcpy(static_cast<void *>(this), &Raw, sizeof(Raw));
+  }
 };
+static_assert(sizeof(VMValue) == 16 && alignof(VMValue) == 8);
+static_assert(std::endian::native == std::endian::little,
+              "Kind is the first byte of the low lane");
 
 /// Heap object: class pointer, presence count, then the layout's field
 /// values in place. NumFields mirrors the interpreter's per-object field
@@ -94,18 +111,19 @@ struct VMArr {
 
 /// Chunked bump allocator for objects and arrays. Guest programs are
 /// bounded by the step limit, so the run's allocations simply live until
-/// the VM is destroyed; no collector.
+/// the VM is destroyed; no collector. Chunks are not zeroed: allocObj and
+/// allocArr write every word they hand out.
 class VMArena {
 public:
   void *alloc(size_t Bytes) {
     Bytes = (Bytes + 15) & ~size_t(15);
     if (Bytes > ChunkBytes) {
-      Chunks.push_back(std::make_unique<char[]>(Bytes));
+      Chunks.push_back(std::make_unique_for_overwrite<char[]>(Bytes));
       Used = ChunkBytes; // mark the oversized chunk full
       return Chunks.back().get();
     }
     if (Used + Bytes > ChunkBytes) {
-      Chunks.push_back(std::make_unique<char[]>(ChunkBytes));
+      Chunks.push_back(std::make_unique_for_overwrite<char[]>(ChunkBytes));
       Used = 0;
     }
     void *P = Chunks.back().get() + Used;
@@ -119,52 +137,25 @@ private:
   size_t Used = ChunkBytes;
 };
 
-VMValue vBool(bool B) {
-  VMValue V;
-  V.Kind = VMValue::Bool;
-  V.I = B;
-  return V;
-}
+VMValue vBool(bool B) { return VMValue(VMValue::Bool, B); }
 VMValue vInt(int64_t N) {
-  VMValue V;
-  V.Kind = VMValue::Int;
-  V.I = N;
-  return V;
+  return VMValue(VMValue::Int, static_cast<uint64_t>(N));
 }
 VMValue vDbl(double N) {
-  VMValue V;
-  V.Kind = VMValue::Dbl;
-  V.D = N;
-  return V;
+  return VMValue(VMValue::Dbl, std::bit_cast<uint64_t>(N));
 }
 VMValue vStr(const std::string *S) {
-  VMValue V;
-  V.Kind = VMValue::Str;
-  V.S = S;
-  return V;
+  return VMValue(VMValue::Str, reinterpret_cast<uintptr_t>(S));
 }
-VMValue vNull() {
-  VMValue V;
-  V.Kind = VMValue::Null;
-  return V;
-}
+VMValue vNull() { return VMValue(VMValue::Null, 0); }
 VMValue vObj(VMObj *O) {
-  VMValue V;
-  V.Kind = VMValue::Obj;
-  V.O = O;
-  return V;
+  return VMValue(VMValue::Obj, reinterpret_cast<uintptr_t>(O));
 }
 VMValue vArr(VMArr *A) {
-  VMValue V;
-  V.Kind = VMValue::Arr;
-  V.A = A;
-  return V;
+  return VMValue(VMValue::Arr, reinterpret_cast<uintptr_t>(A));
 }
 VMValue vClazz(const Type *Cl) {
-  VMValue V;
-  V.Kind = VMValue::Clazz;
-  V.Cl = Cl;
-  return V;
+  return VMValue(VMValue::Clazz, reinterpret_cast<uintptr_t>(Cl));
 }
 
 VMValue defaultOf(DefaultKind K) {
@@ -206,7 +197,6 @@ public:
       ClassAt.push_back(C.get());
     Modules.resize(ClassAt.size());
     ModuleReady.assign(ClassAt.size(), 0);
-    std::memset(OpCount, 0, sizeof(OpCount));
     // Resolve the stats-registry slots once: finish() runs after every
     // runMain, and repeated executions (bench loops, warmed services)
     // must not pay a map-of-strings walk per guest run. References into
@@ -214,9 +204,6 @@ public:
     // reset between jobs, never while a VM is live).
     StatsRegistry &S = Comp.stats();
     StepsC = &S.counter("backend.vm.steps");
-    for (size_t I = 0; I < static_cast<size_t>(LOp::NumLOps); ++I)
-      DispatchC[I] = &S.counter(std::string("backend.vm.dispatch.") +
-                                lopName(static_cast<LOp>(I)));
     CallHitsC = &S.counter("backend.vm.ic.call.hits");
     CallMissesC = &S.counter("backend.vm.ic.call.misses");
     FieldHitsC = &S.counter("backend.vm.ic.field.hits");
@@ -227,24 +214,32 @@ public:
   }
 
   ExecResult runMain(Symbol *Entry, const std::vector<std::string> &Args) {
-    Res = ExecResult();
+    Uncaught = false;
+    Error.clear();
     Output.clear();
-    Steps = 0;
+    StepsTaken = 0;
     resetCounters();
     Frames.clear();
-    Sp = 0;
+    Top = 0;
     PendingError.clear();
 
     if (!LP.Failures.empty()) {
-      Res.Uncaught = true;
-      Res.Error =
-          "bytecode verification failed: " + LP.Failures.front().Message;
+      Uncaught = true;
+      Error = "bytecode verification failed: " + LP.Failures.front().Message;
       return finish();
     }
 
-    auto *OwnerCls = cast<ClassSymbol>(Entry->owner());
-    LClass **LCp = LP.ClassBySym.find(OwnerCls);
-    LClass *LC = LCp ? *LCp : nullptr;
+    // The entry's class and method, looked up once per entry symbol; the
+    // linked tables never change while the VM lives.
+    if (Entry != EntrySym) {
+      EntrySym = Entry;
+      LClass **LCp = LP.ClassBySym.find(cast<ClassSymbol>(Entry->owner()));
+      EntryCls = LCp ? *LCp : nullptr;
+      LMethod **Mp =
+          EntryCls ? EntryCls->Methods.find(Entry->name().ordinal()) : nullptr;
+      EntryM = Mp ? *Mp : nullptr;
+    }
+    LClass *LC = EntryCls;
 
     // Module instance of the entry point's owner, constructor included
     // (the lazy GetModule path would do the same on first touch).
@@ -255,14 +250,14 @@ public:
       ModuleReady[LC->Index] = 1;
       if (LC->Ctor) {
         if (LC->Ctor->NumParams != 0) {
-          Res.Uncaught = true;
-          Res.Error = "arity mismatch calling " + LC->Ctor->Sym->name().str();
+          Uncaught = true;
+          Error = "arity mismatch calling " + LC->Ctor->Sym->name().str();
           return finish();
         }
         ensureStack(8);
-        Sp = 0;
-        Stack[Sp++] = ModV; // result (kept by FrameDropResult)
-        Stack[Sp++] = ModV; // receiver = slot 0
+        Top = 0;
+        Stack[Top++] = ModV; // result (kept by FrameDropResult)
+        Stack[Top++] = ModV; // receiver = slot 0
         pushFrame(LC->Ctor, 1, FrameDropResult);
         if (!run())
           return finish();
@@ -273,17 +268,16 @@ public:
 
     // Entry lookup by name, like the interpreter's findMethod walk
     // (hoisted into the linked method table).
-    LMethod **Mp = LC ? LC->Methods.find(Entry->name().ordinal()) : nullptr;
-    if (!Mp) {
-      Res.Uncaught = true;
-      Res.Error = "no implementation of " + Entry->name().str() + " in " +
-                  OwnerCls->name().str();
+    const LMethod *M = EntryM;
+    if (!M) {
+      Uncaught = true;
+      Error = "no implementation of " + Entry->name().str() + " in " +
+              Entry->owner()->name().str();
       return finish();
     }
-    LMethod *M = *Mp;
     if (M->NumParams != 1) {
-      Res.Uncaught = true;
-      Res.Error = "arity mismatch calling " + M->Sym->name().str();
+      Uncaught = true;
+      Error = "arity mismatch calling " + M->Sym->name().str();
       return finish();
     }
 
@@ -292,9 +286,9 @@ public:
       ArgArr->elems()[I] = vStr(internStr(Args[I]));
 
     ensureStack(8);
-    Sp = 0;
-    Stack[Sp++] = ModV;
-    Stack[Sp++] = vArr(ArgArr);
+    Top = 0;
+    Stack[Top++] = ModV;
+    Stack[Top++] = vArr(ArgArr);
     pushFrame(M, 0, 0);
     run();
     return finish();
@@ -478,58 +472,80 @@ private:
   }
 
   std::string show(const VMValue &V) {
+    std::string S;
+    showTo(S, V);
+    return S;
+  }
+
+  /// Appends show(V) to \p Out: printing and concatenation render into
+  /// their destination without a temporary per value.
+  void showTo(std::string &Out, const VMValue &V) {
     switch (V.Kind) {
     case VMValue::Unit:
-      return "()";
+      Out += "()";
+      return;
     case VMValue::Bool:
-      return V.I ? "true" : "false";
-    case VMValue::Int:
-      return std::to_string(V.I);
+      Out += V.I ? "true" : "false";
+      return;
+    case VMValue::Int: {
+      char Buf[24];
+      Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V.I).ptr);
+      return;
+    }
     case VMValue::Dbl: {
-      std::ostringstream OS;
-      OS << V.D;
-      return OS.str();
+      // What `ostream << double` prints at its default precision.
+      char Buf[48];
+      const int N = std::snprintf(Buf, sizeof(Buf), "%g", V.D);
+      Out.append(Buf, static_cast<size_t>(N));
+      return;
     }
     case VMValue::Str:
-      return *V.S;
+      Out += *V.S;
+      return;
     case VMValue::Null:
-      return "null";
+      Out += "null";
+      return;
     case VMValue::Clazz:
-      return "class " + V.Cl->show();
-    case VMValue::Arr: {
-      std::string S = "Array(";
+      Out += "class ";
+      V.Cl->print(Out);
+      return;
+    case VMValue::Arr:
+      Out += "Array(";
       for (int64_t I = 0; I < V.A->Len; ++I) {
         if (I)
-          S += ", ";
-        S += show(V.A->elems()[I]);
+          Out += ", ";
+        showTo(Out, V.A->elems()[I]);
       }
-      return S + ")";
-    }
+      Out += ')';
+      return;
     case VMValue::Obj: {
       LClass *C = V.O->Cls;
+      Out += C->Cls->name().text();
       if (C->IsCase) {
-        std::string S(C->Cls->name().text());
-        S += "(";
+        Out += '(';
         bool First = true;
         for (int32_t Slot : C->CaseFieldSlots) {
           if (!First)
-            S += ", ";
+            Out += ", ";
           First = false;
-          S += show(caseSlotValue(V.O, Slot));
+          showTo(Out, caseSlotValue(V.O, Slot));
         }
-        return S + ")";
-      }
-      if (C->IsThrowable) {
-        std::string S(C->Cls->name().text());
+        Out += ')';
+      } else if (C->IsThrowable) {
         VMValue Msg = caseSlotValue(V.O, C->MsgSlot);
-        if (Msg.Kind == VMValue::Str)
-          S += "(" + *Msg.S + ")";
-        return S;
+        if (Msg.Kind == VMValue::Str) {
+          Out += '(';
+          Out += *Msg.S;
+          Out += ')';
+        }
+      } else {
+        Out += "@instance";
       }
-      return std::string(C->Cls->name().text()) + "@instance";
+      return;
     }
     default:
-      return "?";
+      Out += '?';
+      return;
     }
   }
 
@@ -547,8 +563,8 @@ private:
     const uint32_t FirstLocal = 1 + M->NumParams;
     for (size_t I = 0; I < M->LocalDefaults.size(); ++I)
       Slots[FirstLocal + I] = defaultOf(M->LocalDefaults[I]);
-    Sp = Base + M->NumSlots;
-    Frames.push_back({M, 0, Base, Sp, Flags});
+    Top = Base + M->NumSlots;
+    Frames.push_back({M, 0, Base, Top, Flags});
     ++FramesPushed;
   }
 
@@ -564,16 +580,16 @@ private:
           continue;
         if (!H.IsFinally && !conforms(Exn, H.CatchType))
           continue;
-        Sp = F.StackBase + H.Depth;
-        Stack[Sp++] = Exn;
+        Top = F.StackBase + H.Depth;
+        Stack[Top++] = Exn;
         F.Pc = H.Entry;
         return true;
       }
-      Sp = F.Base;
+      Top = F.Base;
       Frames.pop_back();
     }
-    Res.Uncaught = true;
-    Res.Error = "uncaught exception: " + show(Exn);
+    Uncaught = true;
+    Error = "uncaught exception: " + show(Exn);
     return false;
   }
 
@@ -588,19 +604,17 @@ private:
       for (const LHandler &H : F.M->Handlers) {
         if (At < H.Start || At >= H.End || !H.IsFinally)
           continue;
-        Sp = F.StackBase + H.Depth;
-        VMValue Token;
-        Token.Kind = VMValue::ErrToken;
-        Stack[Sp++] = Token;
+        Top = F.StackBase + H.Depth;
+        Stack[Top++] = VMValue(VMValue::ErrToken, 0);
         PendingError = std::move(Msg);
         F.Pc = H.Entry;
         return true;
       }
-      Sp = F.Base;
+      Top = F.Base;
       Frames.pop_back();
     }
-    Res.Uncaught = true;
-    Res.Error = std::move(Msg);
+    Uncaught = true;
+    Error = std::move(Msg);
     return false;
   }
 
@@ -634,17 +648,19 @@ private:
   //===--- stats ----------------------------------------------------------===//
 
   void resetCounters() {
-    std::memset(OpCount, 0, sizeof(OpCount));
     CallHits = CallMisses = FieldHits = FieldMisses = 0;
     FramesPushed = ObjAllocs = ArrAllocs = 0;
   }
 
+  /// Flushes the run's counters and builds the result in the caller's
+  /// return slot; Output and Error are moved in, not copied.
   ExecResult finish() {
-    Res.Output = Output;
-    Res.StepsExecuted = Steps;
-    *StepsC += Steps;
-    for (size_t I = 0; I < static_cast<size_t>(LOp::NumLOps); ++I)
-      *DispatchC[I] += OpCount[I];
+    ExecResult R;
+    R.Output = std::move(Output);
+    R.Uncaught = Uncaught;
+    R.Error = std::move(Error);
+    R.StepsExecuted = StepsTaken;
+    *StepsC += StepsTaken;
     *CallHitsC += CallHits;
     *CallMissesC += CallMisses;
     *FieldHitsC += FieldHits;
@@ -652,7 +668,7 @@ private:
     *FramesC += FramesPushed;
     *ObjAllocsC += ObjAllocs;
     *ArrAllocsC += ArrAllocs;
-    return Res;
+    return R;
   }
 
   //===--- the dispatch loop ----------------------------------------------===//
@@ -662,11 +678,21 @@ private:
   CompilerContext &Comp;
   LinkedProgram &LP;
   uint64_t StepLimit;
-  uint64_t Steps = 0;
+  /// Steps of the current runMain. run() keeps its count in a local and
+  /// stores it here on every exit.
+  uint64_t StepsTaken = 0;
 
   std::vector<VMValue> Stack;
-  uint32_t Sp = 0;
+  /// Operand-stack height outside run() and across the calls run() makes
+  /// into pushFrame and the unwinders, which set it; run() keeps its own
+  /// copy in a local (VM_SYNC / VM_RELOAD move it across).
+  uint32_t Top = 0;
   std::vector<VMFrame> Frames;
+
+  /// runMain's entry resolution, cached for the last entry symbol.
+  Symbol *EntrySym = nullptr;
+  LClass *EntryCls = nullptr;
+  const LMethod *EntryM = nullptr;
 
   std::vector<LClass *> ClassAt;
   std::vector<VMValue> Modules;
@@ -676,16 +702,16 @@ private:
   std::deque<std::string> StrHeap;
   std::string Output;
   std::string PendingError;
-  ExecResult Res;
+  /// The run's ending, when an exception or VM error escaped main.
+  bool Uncaught = false;
+  std::string Error;
 
-  uint64_t OpCount[static_cast<size_t>(LOp::NumLOps)];
   uint64_t CallHits = 0, CallMisses = 0;
   uint64_t FieldHits = 0, FieldMisses = 0;
   uint64_t FramesPushed = 0, ObjAllocs = 0, ArrAllocs = 0;
 
   // Pre-resolved registry slots (see the constructor).
   uint64_t *StepsC = nullptr;
-  uint64_t *DispatchC[static_cast<size_t>(LOp::NumLOps)] = {};
   uint64_t *CallHitsC = nullptr, *CallMissesC = nullptr;
   uint64_t *FieldHitsC = nullptr, *FieldMissesC = nullptr;
   uint64_t *FramesC = nullptr, *ObjAllocsC = nullptr, *ArrAllocsC = nullptr;
@@ -700,19 +726,36 @@ private:
 // (GCC, Clang) provides.
 #define VM_CASE(Name) Lbl_##Name:
 
-/// Save the caller-visible Pc into the current frame (the unwinder and
-/// callee pushes need it).
-#define VM_SYNC() (Frames.back().Pc = Pc)
+/// Save the caller-visible Pc into the current frame and the stack height
+/// into Top (the unwinders and callee pushes read the one and set the
+/// other).
+#define VM_SYNC()                                                              \
+  (Frames.back().Pc = static_cast<uint32_t>(Pc - Code), Top = Sp)
 
-/// Reload the loop-local execution state from the top frame (after any
-/// frame push/pop or stack reallocation).
-#define VM_RELOAD()                                                            \
+/// Load the loop-local code position from the top frame (after a frame
+/// pop, whose stack height run() computed itself).
+#define VM_RESUME_FRAME()                                                      \
   do {                                                                         \
     VMFrame &F_ = Frames.back();                                               \
     Code = F_.M->Code.data();                                                  \
-    Pc = F_.Pc;                                                                \
+    Pc = Code + F_.Pc;                                                         \
     Base = F_.Base;                                                            \
+  } while (0)
+
+/// Reload all loop-local execution state from the top frame and Top (after
+/// a frame push, an unwind or a stack reallocation).
+#define VM_RELOAD()                                                            \
+  do {                                                                         \
+    VM_RESUME_FRAME();                                                         \
     Sk = Stack.data();                                                         \
+    Sp = Top;                                                                  \
+  } while (0)
+
+/// Leave run(), storing the loop-local step count first.
+#define VM_LEAVE(Ok)                                                           \
+  do {                                                                         \
+    StepsTaken = SlowAt - Fuel;                                                \
+    return Ok;                                                                 \
   } while (0)
 
 /// Raise a VM-level error at the current instruction.
@@ -720,7 +763,7 @@ private:
   do {                                                                         \
     VM_SYNC();                                                                 \
     if (!unwindError(MsgExpr))                                                 \
-      return false;                                                            \
+      VM_LEAVE(false); /* the unwinder has set Top */                          \
     VM_RELOAD();                                                               \
     goto dispatch;                                                             \
   } while (0)
@@ -731,12 +774,36 @@ private:
     VM_SYNC();                                                                 \
     VMValue Exn_ = (ValExpr);                                                  \
     if (!unwindGuest(Exn_))                                                    \
-      return false;                                                            \
+      VM_LEAVE(false); /* the unwinder has set Top */                          \
     VM_RELOAD();                                                               \
     goto dispatch;                                                             \
   } while (0)
 
-#define VM_NEXT() goto dispatch
+/// Fetch and jump to the next instruction. Every handler ends in its own
+/// copy, so the compiler can give handlers their own indirect jumps, each
+/// with its own branch-predictor history (GCC merges some tails). The
+/// step limit, the cancellation poll and pair counting share one
+/// predicted-not-taken branch into `slow`: Fuel counts down the dispatches
+/// until the next step that needs any of them.
+#define VM_NEXT()                                                              \
+  do {                                                                         \
+    Ip = Pc++;                                                                 \
+    if (__builtin_expect(--Fuel == 0, 0))                                      \
+      goto slow;                                                               \
+    goto *const_cast<void *>(Ip->H);                                           \
+  } while (0)
+
+/// Dispatches from step \p Steps to the next one that must take `slow`: the
+/// first past the limit, the next multiple of 256 (the cancellation poll),
+/// or the very next one while pairs are counted.
+static uint64_t dispatchesToSlowPath(uint64_t Steps, uint64_t Limit,
+                                     bool CountPairs) {
+  if (CountPairs || Steps >= Limit)
+    return 1;
+  const uint64_t ToPoll = 256 - (Steps & 255);
+  const uint64_t ToLimit = Limit - Steps;
+  return ToLimit < ToPoll ? ToLimit + 1 : ToPoll;
+}
 
 bool VM::Impl::run() {
   // One label per opcode, in exact LOp order: the enum value indexes this
@@ -778,17 +845,34 @@ bool VM::Impl::run() {
     LP.Threaded = true;
   }
 
+  // The loop's state lives in locals so the compiler can keep it in
+  // registers; every exit stores StepsTaken, and Top unless an unwinder
+  // has already set it. Pc is the next instruction, Ip the one executing.
   const LInstr *Code = nullptr;
+  const LInstr *Pc = nullptr;
   const LInstr *Ip = nullptr;
-  uint32_t Pc = 0;
   uint32_t Base = 0;
   VMValue *Sk = nullptr;
+  uint32_t Sp = 0;
+  const uint64_t Limit = StepLimit;
+  const bool CountPairs = PairsOn;
+  // The step count is SlowAt - Fuel; SlowAt is the step that next takes
+  // `slow`.
+  uint64_t Fuel = dispatchesToSlowPath(StepsTaken, Limit, CountPairs);
+  uint64_t SlowAt = StepsTaken + Fuel;
   size_t PrevOp = static_cast<size_t>(LOp::Nop);
   VM_RELOAD();
 
 dispatch:
-  Ip = Code + Pc++;
-  if (++Steps > StepLimit)
+  VM_NEXT();
+
+slow: {
+  // Fuel is refilled before the limit check: a trap can resume at a
+  // finally block, whose first dispatch must trap again.
+  const uint64_t Steps = SlowAt;
+  Fuel = dispatchesToSlowPath(Steps, Limit, CountPairs);
+  SlowAt = Steps + Fuel;
+  if (Steps > Limit)
     VM_TRAP_ERR("step limit exceeded");
   // Cooperative cancellation, same cadence as the tree interpreter: the
   // guest program controls how long we run, so poll the deadline every
@@ -796,13 +880,13 @@ dispatch:
   // cancelled execution is discarded, never compared.
   if ((Steps & 255) == 0)
     Comp.checkpoint();
-  ++OpCount[static_cast<size_t>(Ip->Code)];
-  if (PairsOn) {
+  if (CountPairs) {
     const size_t Cur = static_cast<size_t>(Ip->Code);
     Pairs[PrevOp * static_cast<size_t>(LOp::NumLOps) + Cur]++;
     PrevOp = Cur;
   }
   goto *const_cast<void *>(Ip->H);
+}
 
   VM_CASE(Nop)
   VM_NEXT();
@@ -1245,7 +1329,10 @@ dispatch:
   VM_CASE(Concat) {
     const VMValue R = Sk[--Sp];
     const VMValue L = Sk[--Sp];
-    Sk[Sp++] = vStr(internStr(show(L) + show(R)));
+    std::string S;
+    showTo(S, L);
+    showTo(S, R);
+    Sk[Sp++] = vStr(internStr(std::move(S)));
     Sk = Stack.data();
     VM_NEXT();
   }
@@ -1342,7 +1429,7 @@ dispatch:
   VM_CASE(Println) {
     const VMValue A = Sk[--Sp];
     --Sp; // the Predef module reference
-    Output += show(A);
+    showTo(Output, A);
     Output += '\n';
     Sk[Sp++] = VMValue();
     VM_NEXT();
@@ -1351,7 +1438,7 @@ dispatch:
   VM_CASE(Print) {
     const VMValue A = Sk[--Sp];
     --Sp;
-    Output += show(A);
+    showTo(Output, A);
     Sk[Sp++] = VMValue();
     VM_NEXT();
   }
@@ -1384,14 +1471,14 @@ dispatch:
   }
 
   VM_CASE(Jump) {
-    Pc = Ip->A;
+    Pc = Code + Ip->A;
     VM_NEXT();
   }
 
   VM_CASE(JumpIfFalse) {
     const VMValue C = Sk[--Sp];
     if (!truthy(C))
-      Pc = Ip->A;
+      Pc = Code + Ip->A;
     VM_NEXT();
   }
 
@@ -1407,16 +1494,21 @@ dispatch:
   }
 
   VM_CASE(ReturnValue) {
+    // Field by field: a whole-frame copy is a wide load over the narrow
+    // stores pushFrame just made, which the store buffer cannot forward.
     const VMValue V = Sk[--Sp];
-    const VMFrame F = Frames.back();
-    Frames.pop_back();
+    const VMFrame &F = Frames.back();
     Sp = F.Base;
-    if (!(F.Flags & FrameDropResult))
+    const bool Drop = F.Flags & FrameDropResult;
+    Frames.pop_back();
+    if (!Drop)
       Sk[Sp++] = V;
     // else: the object stashed at Base - 1 is already on top.
-    if (Frames.empty())
-      return true;
-    VM_RELOAD();
+    if (Frames.empty()) {
+      Top = Sp;
+      VM_LEAVE(true);
+    }
+    VM_RESUME_FRAME();
     VM_NEXT();
   }
 
@@ -1480,7 +1572,7 @@ dispatch:
     const VMValue R = Sk[--Sp];                                                \
     const VMValue L = Sk[--Sp];                                                \
     if (!(numOf(L) OpTok numOf(R)))                                            \
-      Pc = Ip->A;                                                              \
+      Pc = Code + Ip->A;                                                       \
     VM_NEXT();                                                                 \
   }
 
@@ -1494,7 +1586,7 @@ dispatch:
     const VMValue R = Sk[--Sp];
     const VMValue L = Sk[--Sp];
     if (!valueEquals(L, R))
-      Pc = Ip->A;
+      Pc = Code + Ip->A;
     VM_NEXT();
   }
 
@@ -1502,7 +1594,7 @@ dispatch:
     const VMValue R = Sk[--Sp];
     const VMValue L = Sk[--Sp];
     if (valueEquals(L, R))
-      Pc = Ip->A;
+      Pc = Code + Ip->A;
     VM_NEXT();
   }
 
@@ -1572,6 +1664,15 @@ dispatch:
 
   return true; // unreachable: every opcode body jumps or returns
 }
+
+#undef VM_NEXT
+#undef VM_TRAP_THROW
+#undef VM_TRAP_ERR
+#undef VM_LEAVE
+#undef VM_RELOAD
+#undef VM_RESUME_FRAME
+#undef VM_SYNC
+#undef VM_CASE
 
 //===--- public API --------------------------------------------------------===//
 

@@ -38,16 +38,17 @@ public:
   /// Runs `main(args)` on the entry-point symbol. Cooperative
   /// cancellation mirrors the interpreter: every 256th step polls the
   /// context's CancelToken, and DeadlineExceeded propagates out.
-  /// Flushes backend.vm.* counters (dispatch per opcode, inline-cache
-  /// hits/misses, frames, allocations) into the context's stats.
+  /// Flushes backend.vm.* counters (steps, inline-cache hits/misses,
+  /// frames, allocations) into the context's stats.
   ExecResult runMain(Symbol *EntryPoint,
                      const std::vector<std::string> &Args = {});
 
   /// Enables dynamic opcode-pair counting (a NumLOps x NumLOps matrix of
-  /// (previous, current) dispatch counts). Adds a branch to the dispatch
-  /// loop; used by bench_vm_pairs to measure which pairs are worth
-  /// fusing into superinstructions. Count rows are read back with
-  /// pairCounts().
+  /// (previous, current) dispatch counts). Sends every dispatch through
+  /// the loop's slow path; used by bench_vm_pairs to measure which pairs
+  /// are worth fusing into superinstructions. Count rows are read back
+  /// with pairCounts() (index previous * NumLOps + current); the sum of
+  /// column X, the pairs that end in X, is X's dispatch count.
   void enablePairCounts();
   const std::vector<uint64_t> &pairCounts() const;
 

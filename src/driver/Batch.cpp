@@ -134,8 +134,10 @@ BatchResult mpc::runBatchJob(BatchJob Job, CompilerContext &Comp) {
     PrintOptions PO;
     PO.ShowTypes = true;
     for (const CompilationUnit &U : Out.Units) {
-      R.DumpText += "// === " + U.FileName + " ===\n";
-      R.DumpText += treeToString(U.Root.get(), PO);
+      R.DumpText += "// === ";
+      R.DumpText += U.FileName;
+      R.DumpText += " ===\n";
+      appendTree(R.DumpText, U.Root.get(), PO);
       R.DumpText += '\n';
     }
   }

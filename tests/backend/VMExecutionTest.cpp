@@ -488,11 +488,7 @@ object Main {
       << R.Error;
 }
 
-TEST(VMDirected, PairCountsCoverTheFusionTable) {
-  // The superinstruction table was picked from measured pair counts;
-  // this pins that the measurement machinery still sees the fused pairs
-  // when fusion is off (i.e. the table stays justified by data).
-  const char *Source = R"(
+const char *SumLoop = R"(
 object Main {
   def main(args: Array[String]): Unit = {
     var i = 0
@@ -505,9 +501,14 @@ object Main {
   }
 }
 )";
+
+TEST(VMDirected, PairCountsCoverTheFusionTable) {
+  // The superinstruction table was picked from measured pair counts;
+  // this pins that the measurement machinery still sees the fused pairs
+  // when fusion is off (i.e. the table stays justified by data).
   CompilerContext Comp;
   std::vector<SourceInput> Sources;
-  Sources.push_back({"vm.scala", Source});
+  Sources.push_back({"vm.scala", SumLoop});
   CompileOutput Out = compile(Comp, std::move(Sources));
   ASSERT_FALSE(Out.EntryPoints.empty());
 
@@ -531,6 +532,168 @@ object Main {
   uint64_t LoadThenLoad = Pairs[static_cast<size_t>(LOp::LoadSlot) * N +
                                 static_cast<size_t>(LOp::LoadSlot)];
   EXPECT_GT(LoadThenLoad, 0u);
+}
+
+
+//===----------------------------------------------------------------------===//
+// Directed: step accounting and run-to-run independence
+//===----------------------------------------------------------------------===//
+
+bool sameResult(const ExecResult &A, const ExecResult &B) {
+  return A.Output == B.Output && A.Uncaught == B.Uncaught &&
+         A.Error == B.Error && A.StepsExecuted == B.StepsExecuted;
+}
+
+std::string describe(const ExecResult &R) {
+  return "{steps=" + std::to_string(R.StepsExecuted) +
+         " uncaught=" + std::to_string(R.Uncaught) + " error='" + R.Error +
+         "' output='" + R.Output + "'}";
+}
+
+const char *CallsAndFinally = R"(
+object Main {
+  def add(a: Int, b: Int): Int = a + b
+  def guarded(n: Int): Int = {
+    var r = 0
+    try { r = add(n, 1) } finally { r = r * 2 }
+    r
+  }
+  def main(args: Array[String]): Unit = {
+    var i = 0
+    var acc = 0
+    while (i < 10) {
+      acc = acc + guarded(i)
+      i = i + 1
+    }
+    println(acc)
+  }
+}
+)";
+
+TEST(VMDirected, StepAccountingIsExact) {
+  // Every dispatch is one step, the limit traps the first step past it,
+  // and counting pairs changes nothing but the pair table. The step
+  // counts are pinned: a change to the dispatch loop must not move them.
+  struct Case {
+    const char *Source;
+    bool Superinstructions;
+    uint64_t Steps;        // StepsExecuted of a clean run
+    uint64_t TrappedSteps; // summed StepsExecuted over every lower limit
+  };
+  const Case Cases[] = {
+      {SumLoop, false, 1719, 1478340},
+      {SumLoop, true, 715, 255970},
+      {CallsAndFinally, false, 429, 92345},
+      {CallsAndFinally, true, 275, 38040},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Superinstructions ? "fused" : "unfused");
+    CompilerContext Comp;
+    std::vector<SourceInput> Sources;
+    Sources.push_back({"vm.scala", C.Source});
+    CompileOutput Out = compile(Comp, std::move(Sources));
+    ASSERT_FALSE(Out.EntryPoints.empty());
+    Symbol *Entry = Out.EntryPoints.front();
+    LinkOptions LO;
+    LO.Superinstructions = C.Superinstructions;
+    LinkedProgram Linked = linkProgram(Out.Prog, Comp, LO);
+    ASSERT_TRUE(Linked.Failures.empty());
+
+    ExecResult Clean = VM(Comp, Linked).runMain(Entry);
+    ASSERT_FALSE(Clean.Uncaught) << Clean.Error;
+    EXPECT_EQ(Clean.StepsExecuted, C.Steps);
+
+    // A limit of exactly the run's steps runs clean; one less traps.
+    ExecResult AtLimit = VM(Comp, Linked, Clean.StepsExecuted).runMain(Entry);
+    EXPECT_TRUE(sameResult(AtLimit, Clean)) << describe(AtLimit);
+    ExecResult Short =
+        VM(Comp, Linked, Clean.StepsExecuted - 1).runMain(Entry);
+    EXPECT_TRUE(Short.Uncaught);
+    EXPECT_EQ(Short.Error, "step limit exceeded");
+    EXPECT_EQ(Short.StepsExecuted, Clean.StepsExecuted);
+    // Every lower limit traps; where the trap lands inside a try, the
+    // unwind through its finally adds steps, so the sum pins those too.
+    uint64_t TrappedSteps = 0;
+    for (uint64_t Limit = 0; Limit < Clean.StepsExecuted; ++Limit) {
+      ExecResult R = VM(Comp, Linked, Limit).runMain(Entry);
+      EXPECT_EQ(R.Error, "step limit exceeded") << "limit " << Limit;
+      TrappedSteps += R.StepsExecuted;
+    }
+    EXPECT_EQ(TrappedSteps, C.TrappedSteps);
+
+    // Pair counting sees every step and does not change the result.
+    VM Counting(Comp, Linked);
+    Counting.enablePairCounts();
+    ExecResult Counted = Counting.runMain(Entry);
+    EXPECT_TRUE(sameResult(Counted, Clean)) << describe(Counted);
+    uint64_t PairSum = 0;
+    for (uint64_t N : Counting.pairCounts())
+      PairSum += N;
+    EXPECT_EQ(PairSum, Clean.StepsExecuted);
+  }
+}
+
+TEST(VMDirected, RepeatedRunsAreIndependent) {
+  // One VM runs main after a clean run, after a step-limit trap and after
+  // an uncaught exception; each result must equal that of a fresh VM
+  // making the same call after one clean warm-up run (module state is
+  // per VM, so the warm-up makes the module exist in both).
+  const char *Source = R"(
+class Boom(val msg: String) extends Throwable
+object Main {
+  def spin(): Int = {
+    var i = 0
+    while (true) { i = i + 1 }
+    i
+  }
+  def main(args: Array[String]): Unit = {
+    println("start " + args.length)
+    if (args.length > 0) {
+      if (args(0) == "loop") {
+        try { spin() } finally { println("unreached") }
+      }
+      if (args(0) == "throw") {
+        try { throw new Boom("boom") } finally { print("cleanup ") }
+      }
+    }
+    println("done " + 2.5)
+  }
+}
+)";
+  CompilerContext Comp;
+  std::vector<SourceInput> Sources;
+  Sources.push_back({"vm.scala", Source});
+  CompileOutput Out = compile(Comp, std::move(Sources));
+  ASSERT_FALSE(Out.EntryPoints.empty());
+  Symbol *Entry = Out.EntryPoints.front();
+  LinkedProgram Linked = linkProgram(Out.Prog, Comp);
+  ASSERT_TRUE(Linked.Failures.empty());
+  const uint64_t Limit = 5'000;
+
+  const std::vector<std::vector<std::string>> Calls = {
+      {}, {"loop"}, {}, {"throw"}, {}, {"loop"}, {"throw"}, {"x"}};
+  VM Reused(Comp, Linked, Limit);
+  for (size_t I = 0; I < Calls.size(); ++I) {
+    SCOPED_TRACE("call " + std::to_string(I));
+    ExecResult Got = Reused.runMain(Entry, Calls[I]);
+    VM Fresh(Comp, Linked, Limit);
+    if (I > 0)
+      Fresh.runMain(Entry);
+    ExecResult Want = Fresh.runMain(Entry, Calls[I]);
+    EXPECT_TRUE(sameResult(Got, Want))
+        << describe(Got) << " vs " << describe(Want);
+  }
+
+  // The three kinds of ending, as the tree-walker reports them.
+  Interpreter Oracle(Comp, Out.Units, Limit);
+  for (const char *Arg : {"loop", "throw"}) {
+    Outcome TW = fromResult(Oracle.runMain(Entry, {Arg}));
+    Outcome BV = fromResult(VM(Comp, Linked, Limit).runMain(Entry, {Arg}));
+    EXPECT_EQ(TW, BV) << Arg;
+    EXPECT_TRUE(BV.Uncaught) << Arg;
+  }
+  EXPECT_EQ(fromResult(VM(Comp, Linked, Limit).runMain(Entry)).Output,
+            "start 0\ndone 2.5\n");
 }
 
 } // namespace

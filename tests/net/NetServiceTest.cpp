@@ -379,8 +379,13 @@ TEST(NetServiceTest, GracefulDrainAnswersEverythingAdmitted) {
   encodeRequest(Bytes, Slow);
   ASSERT_TRUE(sendAll(S.fd(), Bytes.data(), Bytes.size(), 5000));
 
-  // Give the server time to admit the job, then start the drain.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  // Start the drain as soon as the server has admitted the job, not after
+  // a fixed sleep: if the job finished before the drain began, the server
+  // would close at once and the late request below would be dropped, not
+  // refused.
+  for (int I = 0; I < 5000 && TS.Server.snapshot().RequestsAdmitted == 0; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(TS.Server.snapshot().RequestsAdmitted, 1u);
   TS.Server.requestDrain();
   EXPECT_TRUE(TS.Server.draining());
 
