@@ -3,6 +3,7 @@
 #include "support/Timer.h"
 
 #include <map>
+#include <optional>
 
 using namespace mpc;
 
@@ -134,6 +135,10 @@ void CompileService::stop() {
 
 void CompileService::complete(uint64_t Id, BatchResult R) {
   Cfg.OnResult(Id, std::move(R));
+  markCompleted();
+}
+
+void CompileService::markCompleted() {
   {
     std::lock_guard<std::mutex> Lock(M);
     ++CompletedJobs;
@@ -256,15 +261,22 @@ void CompileService::workerMain(unsigned WorkerIdx) {
       QueueWait = secondsSince(QJ.EnqueuedAt);
     }
 
-    BatchResult Result;
+    // Stamps this request's own fields (on a cache replay too: the
+    // compile-stage timings are the cached copy, the wait is this
+    // request's) and hands the result to the sink.
+    auto Answer = [&](BatchResult R) {
+      R.DequeueSeq = Seq;
+      R.Timings.QueueWaitSec = QueueWait;
+      Cfg.OnResult(Id, std::move(R));
+    };
     double Deadline = Job.DeadlineSec;
     if (Deadline > 0 && QueueWait >= Deadline) {
       // The deadline (measured from enqueue) expired while the job sat in
       // the queue: complete it without compiling — and without consulting
       // the cache, so an expired job's status never depends on what
       // happens to be cached.
-      Result = refusedResult(JobStatus::DeadlineExceeded,
-                             "job deadline exceeded while queued", 0);
+      Answer(refusedResult(JobStatus::DeadlineExceeded,
+                           "job deadline exceeded while queued", 0));
       Sheaf.add("service.jobsCompleted", 1);
       Sheaf.add("service.jobsDeadlineExceeded", 1);
     } else {
@@ -272,17 +284,16 @@ void CompileService::workerMain(unsigned WorkerIdx) {
       // deadline: queue wait counts against the job's total allowance.
       if (Deadline > 0)
         Job.DeadlineSec = Deadline - QueueWait;
-      Result = runJob(std::move(Job), Sheaf);
+      runJob(std::move(Job), Sheaf, Answer);
     }
-    Result.DequeueSeq = Seq;
-    // Per-request, even on a cache replay (the compile-stage timings are
-    // the cached copy; the wait is this request's own).
-    Result.Timings.QueueWaitSec = QueueWait;
-    complete(Id, std::move(Result));
+    // Only now, after the job's post-answer bookkeeping: a drain() that
+    // returns has seen every context recycle and cache insert it covers.
+    markCompleted();
   }
 }
 
-BatchResult CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf) {
+void CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf,
+                            const std::function<void(BatchResult)> &Answer) {
   Timer Busy;
 
   // Consult the artifact cache first: a hit replays the stored result
@@ -292,11 +303,12 @@ BatchResult CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf) {
     Key = jobKeyFor(Job);
     BatchResult Hit;
     if (Cache->lookup(Key, Hit)) {
+      Answer(std::move(Hit));
       Sheaf.add("service.jobsCompleted", 1);
       Sheaf.add("service.cacheHits", 1);
       Sheaf.add("service.busyMicros",
                 static_cast<uint64_t>(Busy.elapsedSeconds() * 1e6));
-      return Hit;
+      return;
     }
     Sheaf.add("service.cacheMisses", 1);
   }
@@ -310,20 +322,30 @@ BatchResult CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf) {
   uint64_t PagesMapped0 = Backend.PagesMapped;
 
   BatchResult R = runBatchJob(std::move(Job), *Comp);
+  JobStatus Status = R.Status;
+  // Only completed compiles are cached: a rejected/cancelled/faulted
+  // result describes this request's scheduling fate, not the job's
+  // content, and must never replay for an equal key. The cache's copy is
+  // taken now, because the answer moves R; compressing it waits until
+  // after the answer has left.
+  std::optional<BatchResult> ForCache;
+  if (Cache && Status == JobStatus::Ok)
+    ForCache = R;
+  Answer(std::move(R));
 
   Sheaf.add("service.jobsCompleted", 1);
   if (Reused)
     Sheaf.add("service.contextsReused", 1);
-  if (R.Status == JobStatus::DeadlineExceeded)
+  if (Status == JobStatus::DeadlineExceeded)
     Sheaf.add("service.jobsDeadlineExceeded", 1);
-  else if (R.Status == JobStatus::Faulted)
+  else if (Status == JobStatus::Faulted)
     Sheaf.add("service.jobsFaulted", 1);
   Sheaf.add("service.pagesShared", Backend.PagesFromPool - PagesFromPool0);
   Sheaf.add("service.pagesMapped", Backend.PagesMapped - PagesMapped0);
   // Fold the job's pipeline counters into the service aggregate.
   Sheaf.merge(Comp->stats());
 
-  if (R.Status == JobStatus::Faulted) {
+  if (Status == JobStatus::Faulted) {
     // Fault containment: the exception's throw site is unknown (it may
     // have split an allocation from its accounting), so the shell counts
     // as poisoned. Destroying it frees its pages wholesale — through the
@@ -336,16 +358,11 @@ BatchResult CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf) {
   } else if (Cfg.WarmContexts) {
     Contexts.recycle(std::move(Comp));
   }
-  // Install a copy for future hits — completed compiles only: a
-  // rejected/cancelled/faulted result describes this request's
-  // scheduling fate, not the job's content, and must never replay for an
-  // equal key.
-  if (Cache && R.Status == JobStatus::Ok)
-    Cache->insert(Key, R);
+  if (ForCache)
+    Cache->insert(Key, std::move(*ForCache));
 
   Sheaf.add("service.busyMicros",
             static_cast<uint64_t>(Busy.elapsedSeconds() * 1e6));
-  return R;
 }
 
 size_t CompileService::pendingJobs() const {
@@ -397,6 +414,7 @@ std::vector<BatchResult> CompileService::drain() {
   if (Cache) {
     ArtifactCache::Stats CS = Cache->stats();
     Stats.counter("service.cacheBytes") = CS.Bytes;
+    Stats.counter("service.cacheRawBytes") = CS.RawBytes;
     Stats.counter("service.cacheEntries") = CS.Entries;
     Stats.counter("service.cacheEvictions") = CS.Evictions;
     Stats.counter("service.cacheIntegrityRejects") = CS.IntegrityRejects;

@@ -46,22 +46,29 @@
 ///      JobKey (hash of sources + cache-relevant options + pipeline
 ///      kind, see driver/Batch.h) and consults the ArtifactCache first:
 ///      a hit replays the stored result without touching a context at
-///      all; a miss compiles and installs a copy of its result. Replay is
-///      byte-identical to a cache-disabled run (pinned by
-///      CompileServiceTest), counters surface as
-///      service.cacheHits/cacheMisses/cacheBytes/cacheEvictions, and
-///      capacity is LRU-bounded by CacheConfig::MaxBytes.
+///      all; a miss compiles and, after answering, installs a compressed
+///      copy of its result. Replay is byte-identical to a cache-disabled
+///      run (pinned by CompileServiceTest), counters surface as
+///      service.cacheHits/cacheMisses/cacheBytes/cacheRawBytes/
+///      cacheEvictions, and capacity is LRU-bounded by
+///      CacheConfig::MaxBytes.
 ///
-/// One completion path. Every job — compiled, replayed, expired in the
-/// queue, refused or shed at admission — completes the same way: its
-/// context-free BatchResult goes to the sink (ServiceConfig::OnResult),
-/// called without the service lock held, and only after the sink returns
-/// does the job count as completed. drain() and stop() therefore never
-/// return while a sink call is still running. Without an OnResult the
-/// service installs a small reorder buffer as the sink, and drain()
-/// hands out its results in enqueue order. Contexts never leave the
-/// service: each is recycled, discarded, or destroyed by the worker that
-/// ran the job.
+/// One completion path, answer first. Every job — compiled, replayed,
+/// expired in the queue, refused or shed at admission — completes the
+/// same way. First its context-free BatchResult goes to the sink
+/// (ServiceConfig::OnResult), called without the service lock held, so
+/// the reply leaves before any bookkeeping. Then, for a job a worker
+/// ran, the worker merges the job's stats, recycles or discards its
+/// context and installs the cache entry (compressing it). Only then does
+/// the job count as completed. drain() and stop() therefore never return
+/// while a sink call or that bookkeeping is still running, and a repeat
+/// enqueued after drain() hits the cache. A client that re-sends a job
+/// as soon as its answer arrives, before drain(), may land in that
+/// window, miss, and compile again; the output is the same either way.
+/// Without an OnResult the service installs a small reorder buffer as
+/// the sink, and drain() hands out its results in enqueue order.
+/// Contexts never leave the service: each is recycled, discarded, or
+/// destroyed by the worker that ran the job.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -166,13 +173,14 @@ struct ServiceConfig {
   /// *completion* order. The callback runs on the completing worker's
   /// thread (or the admitting thread for refusals), never under the
   /// service lock, and must be thread-safe; it must not call back into
-  /// drain(). A job counts as completed only once its callback has
-  /// returned, so drain() waits for the callbacks of every job it covers
-  /// (refusals included), and stop() returns only after the workers'
-  /// callbacks for every admitted job — the graceful-drain contract a
-  /// server builds on. When set, drain() still merges stats but returns
-  /// no results. When unset, the service installs an in-order reorder
-  /// buffer here.
+  /// drain(). It runs before the job's bookkeeping (stats merge, context
+  /// recycle, cache insert). A job counts as completed only once its
+  /// callback has returned and that bookkeeping is done, so drain() waits
+  /// for the callbacks of every job it covers (refusals included), and
+  /// stop() returns only after the workers' callbacks for every admitted
+  /// job — the graceful-drain contract a server builds on. When set,
+  /// drain() still merges stats but returns no results. When unset, the
+  /// service installs an in-order reorder buffer here.
   std::function<void(uint64_t Id, BatchResult Result)> OnResult;
 };
 
@@ -211,11 +219,12 @@ public:
   void stop();
 
   /// Blocks until every job enqueued so far is complete (its sink call
-  /// has returned). Without an OnResult sink, returns their results in
-  /// enqueue order, starting after the previous drain's last job; with
-  /// one, returns nothing. Either way merges the worker sheaves into
-  /// stats() and refreshes service.workerUtilization. Single consumer:
-  /// call from one thread at a time (enqueue() may race it freely).
+  /// has returned and its bookkeeping is done). Without an OnResult
+  /// sink, returns their results in enqueue order, starting after the
+  /// previous drain's last job; with one, returns nothing. Either way
+  /// merges the worker sheaves into stats() and refreshes
+  /// service.workerUtilization. Single consumer: call from one thread at
+  /// a time (enqueue() may race it freely).
   std::vector<BatchResult> drain();
 
   /// Jobs enqueued but not yet completed by a worker (queued + running).
@@ -230,12 +239,13 @@ public:
 
   /// Merged service counters: service.jobsCompleted, contextsReused,
   /// pagesShared, workerUtilization (percent), the cache counters
-  /// (service.cacheHits/cacheMisses/cacheBytes/cacheEvictions), the
-  /// admission/robustness counters (service.jobsRejected, jobsShed,
-  /// jobsDeadlineExceeded, jobsFaulted, contextsDiscarded,
-  /// queueDepthPeak), plus the aggregated per-job context counters
-  /// (fusion.*, heap.*, frontend.*) of recycled jobs. Stable between
-  /// drain() calls.
+  /// (service.cacheHits/cacheMisses/cacheEvictions, and the gauges
+  /// service.cacheBytes, stored bytes, and service.cacheRawBytes, the
+  /// uncompressed payload they hold), the admission/robustness counters
+  /// (service.jobsRejected, jobsShed, jobsDeadlineExceeded, jobsFaulted,
+  /// contextsDiscarded, queueDepthPeak), plus the aggregated per-job
+  /// context counters (fusion.*, heap.*, frontend.*) of recycled jobs.
+  /// Stable between drain() calls.
   StatsRegistry &stats() { return Stats; }
 
   /// The shared page pool (WarmContexts), or null.
@@ -266,10 +276,17 @@ private:
   class ReorderBuffer;
 
   void workerMain(unsigned WorkerIdx);
-  BatchResult runJob(BatchJob Job, StatsSheaf &Sheaf);
-  /// The one completion path: hands \p R to the sink, then counts the
-  /// job completed and wakes drain(). Caller must not hold M.
+  /// Replays a cache hit or compiles \p Job, hands the result to
+  /// \p Answer, and only then merges the job's stats, recycles or
+  /// discards its context and installs the cache entry. The caller
+  /// counts the job completed afterwards.
+  void runJob(BatchJob Job, StatsSheaf &Sheaf,
+              const std::function<void(BatchResult)> &Answer);
+  /// Completion of a job that never reached a worker: hands \p R to the
+  /// sink, then markCompleted(). Caller must not hold M.
   void complete(uint64_t Id, BatchResult R);
+  /// Counts one job completed and wakes drain(). Caller must not hold M.
+  void markCompleted();
   /// Queue depth across both lanes. Caller holds M.
   size_t queueDepthLocked() const {
     return InteractiveLane.size() + BatchLane.size();

@@ -17,7 +17,10 @@
 //   * Artifact cache: a cache-hit drain is byte-identical to a
 //     cache-disabled run at worker counts 1/4/8, error results replay
 //     byte-identically, and the service counters track
-//     hits/misses/bytes.
+//     hits/misses/bytes. Artifacts are held compressed (stored bytes at
+//     most a quarter of the raw dumps), and with answers streamed to a
+//     sink ahead of the cache insert, a repeat after drain() is still a
+//     byte-identical hit at 1/2/4 workers.
 //   * Error recovery under reset(): syntactically invalid programs
 //     interleaved with valid ones across recycled contexts produce
 //     diagnostics identical to cold compilation.
@@ -81,6 +84,33 @@ void expectSameHeap(const HeapStats &A, const HeapStats &B,
 /// pooling, no shared pages, no cache.
 std::vector<BatchResult> serialColdBaseline(std::vector<BatchJob> Jobs) {
   return compileBatch(std::move(Jobs), 1);
+}
+
+/// Thread-safe Id -> Result sink for OnResult tests; counts duplicate
+/// deliveries, which must never happen.
+struct ResultSink {
+  std::mutex M;
+  std::map<uint64_t, BatchResult> Results;
+  uint64_t Duplicates = 0;
+
+  std::function<void(uint64_t, BatchResult)> callback() {
+    return [this](uint64_t Id, BatchResult R) {
+      std::lock_guard<std::mutex> L(M);
+      if (!Results.emplace(Id, std::move(R)).second)
+        ++Duplicates;
+    };
+  }
+};
+
+/// Distinct small generated programs with dumps: one cache entry each.
+BatchJob distinctDumpJob(uint64_t Seed) {
+  WorkloadProfile P = stdlibProfile(0.01);
+  P.Seed = Seed;
+  P.UnitsHint = 1;
+  BatchJob J;
+  J.Sources = generateWorkload(P);
+  J.WantDump = true;
+  return J;
 }
 
 TEST(CompileService, WarmSharedServiceMatchesSerialColdAtEveryThreadCount) {
@@ -285,15 +315,6 @@ TEST(CompileService, ErrorResultsReplayDeterministically) {
 TEST(CompileService, CacheEvictionKeepsBytesUnderCap) {
   // A churn stream of distinct jobs through a deliberately tiny cache:
   // service.cacheBytes must stay under MaxBytes while evictions mount.
-  auto ChurnJob = [](uint64_t Seed) {
-    WorkloadProfile P = stdlibProfile(0.01);
-    P.Seed = Seed;
-    P.UnitsHint = 1;
-    BatchJob J;
-    J.Sources = generateWorkload(P);
-    J.WantDump = true; // dumps make artifacts big enough to churn
-    return J;
-  };
   const uint64_t NumJobs = 24;
   // Probe pass: measure what the whole stream occupies uncapped, then
   // cap the real cache at a third of that — evictions are then certain,
@@ -304,7 +325,7 @@ TEST(CompileService, CacheEvictionKeepsBytesUnderCap) {
     Probe.Threads = 2;
     CompileService Service(Probe);
     for (uint64_t Seed = 1; Seed <= NumJobs; ++Seed)
-      Service.enqueue(ChurnJob(Seed));
+      Service.enqueue(distinctDumpJob(Seed));
     Service.drain();
     TotalBytes = Service.stats().get("service.cacheBytes");
     ASSERT_GT(TotalBytes, 0u);
@@ -316,7 +337,7 @@ TEST(CompileService, CacheEvictionKeepsBytesUnderCap) {
   Cfg.Cache.MaxBytes = TotalBytes / 3;
   CompileService Service(Cfg);
   for (uint64_t Seed = 1; Seed <= NumJobs; ++Seed) {
-    Service.enqueue(ChurnJob(Seed));
+    Service.enqueue(distinctDumpJob(Seed));
     std::vector<BatchResult> R = Service.drain();
     ASSERT_EQ(R.size(), 1u);
     EXPECT_FALSE(R[0].HadErrors);
@@ -328,6 +349,77 @@ TEST(CompileService, CacheEvictionKeepsBytesUnderCap) {
   EXPECT_LE(Service.artifactCache()->bytes(), Cfg.Cache.MaxBytes);
   // Churned entries really left: the cache holds fewer than the stream.
   EXPECT_LT(Service.artifactCache()->entries(), NumJobs);
+}
+
+TEST(CompileService, CacheHoldsDumpsCompressed) {
+  // The stored charge is the compressed size; typed-tree dumps shrink
+  // about 11x, so a store that kept raw text would fail this by far.
+  ServiceConfig Cfg;
+  Cfg.Threads = 2;
+  CompileService Service(Cfg);
+  for (uint64_t Seed = 1; Seed <= 12; ++Seed)
+    Service.enqueue(distinctDumpJob(Seed));
+  uint64_t Dumped = 0;
+  for (const BatchResult &R : Service.drain())
+    Dumped += R.DumpText.size() + R.DiagText.size();
+  uint64_t Stored = Service.stats().get("service.cacheBytes");
+  uint64_t Raw = Service.stats().get("service.cacheRawBytes");
+  EXPECT_EQ(Service.stats().get("service.cacheEntries"), 12u);
+  EXPECT_EQ(Raw, Dumped);
+  EXPECT_GT(Stored, 0u);
+  EXPECT_LE(Stored * 4, Raw);
+}
+
+TEST(CompileService, RepeatAfterDrainIsByteIdenticalHit) {
+  // Answer first: the sink runs before the cache insert, yet drain()
+  // waits for the insert, so a repeat enqueued after drain() always
+  // hits and replays the first answer byte for byte — streamed through
+  // an OnResult sink, as the server receives results.
+  const uint64_t NumJobs = 6;
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(Threads) + " workers");
+    ResultSink Sink;
+    std::vector<size_t> EntriesAtAnswer; // guarded by Sink.M
+    CompileService *Svc = nullptr;
+    ServiceConfig Cfg;
+    Cfg.Threads = Threads;
+    Cfg.OnResult = [&, Store = Sink.callback()](uint64_t Id, BatchResult R) {
+      size_t Entries = Svc->artifactCache()->entries();
+      {
+        std::lock_guard<std::mutex> L(Sink.M);
+        EntriesAtAnswer.push_back(Entries);
+      }
+      Store(Id, std::move(R));
+    };
+    CompileService Service(Cfg);
+    Svc = &Service;
+    for (int Round = 0; Round < 2; ++Round) {
+      for (uint64_t Seed = 1; Seed <= NumJobs; ++Seed)
+        Service.enqueue(distinctDumpJob(Seed));
+      EXPECT_TRUE(Service.drain().empty());
+      EXPECT_EQ(Service.stats().get("service.cacheHits"), Round * NumJobs);
+      EXPECT_EQ(Service.stats().get("service.cacheMisses"), NumJobs);
+    }
+    std::lock_guard<std::mutex> L(Sink.M);
+    ASSERT_EQ(Sink.Results.size(), 2 * NumJobs);
+    EXPECT_EQ(Sink.Duplicates, 0u);
+    for (uint64_t I = 0; I < NumJobs; ++I) {
+      const BatchResult &Miss = Sink.Results[I];
+      const BatchResult &Hit = Sink.Results[NumJobs + I];
+      std::string Label = "job " + std::to_string(I);
+      EXPECT_FALSE(Miss.DumpText.empty()) << Label;
+      EXPECT_EQ(Hit.DumpText, Miss.DumpText) << Label;
+      EXPECT_EQ(Hit.DiagText, Miss.DiagText) << Label;
+      EXPECT_EQ(Hit.HadErrors, Miss.HadErrors) << Label;
+      expectSameHeap(Hit.Heap, Miss.Heap, Label);
+    }
+    // One worker runs the first round in order; each answer left before
+    // its own entry went in, so job I saw exactly I entries.
+    if (Threads == 1) {
+      for (uint64_t I = 0; I < NumJobs; ++I)
+        EXPECT_EQ(EntriesAtAnswer[I], I) << "job " << I;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -421,22 +513,6 @@ TEST(CompileService, PendingJobsTracksBacklog) {
 //===----------------------------------------------------------------------===//
 // OnResult streaming mode (what the network server builds on)
 //===----------------------------------------------------------------------===//
-
-/// Thread-safe Id -> Result sink for OnResult tests; counts duplicate
-/// deliveries, which must never happen.
-struct ResultSink {
-  std::mutex M;
-  std::map<uint64_t, BatchResult> Results;
-  uint64_t Duplicates = 0;
-
-  std::function<void(uint64_t, BatchResult)> callback() {
-    return [this](uint64_t Id, BatchResult R) {
-      std::lock_guard<std::mutex> L(M);
-      if (!Results.emplace(Id, std::move(R)).second)
-        ++Duplicates;
-    };
-  }
-};
 
 TEST(CompileService, OnResultStreamsEveryJobExactlyOnce) {
   std::vector<BatchResult> Baseline = serialColdBaseline(serviceJobs());

@@ -140,6 +140,22 @@ std::vector<int> procEntries(const char *Dir) {
 
 size_t threadCount() { return procEntries("/proc/self/task").size(); }
 
+/// threadCount() once it has stopped changing: two equal reads 10 ms
+/// apart, or the last read after 5 s. A thread that was just joined can
+/// keep its /proc/self/task entry for a moment, so a single read taken
+/// right after a server starts may count a thread that is already gone.
+size_t settledThreadCount() {
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  size_t Prev = threadCount();
+  while (true) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    size_t Now = threadCount();
+    if (Now == Prev || std::chrono::steady_clock::now() >= Deadline)
+      return Now;
+    Prev = Now;
+  }
+}
+
 /// One past the highest open fd.
 int fdCeiling() {
   std::vector<int> Fds = procEntries("/proc/self/fd");
@@ -537,7 +553,7 @@ TEST(NetServiceTest, ConnectionFloodAddsNoThreads) {
   std::vector<SourceInput> Sources = workload(31);
   BatchResult Local = localCompile(Sources);
   TestServer TS(TestServer::base());
-  const size_t Threads = threadCount();
+  const size_t Threads = settledThreadCount();
 
   std::vector<uint8_t> Hello;
   encodeHello(Hello, WireHello{});
