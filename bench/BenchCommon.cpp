@@ -3,8 +3,6 @@
 #include "ast/TreeUtils.h"
 #include "frontend/Frontend.h"
 #include "support/OStream.h"
-#include "support/Timer.h"
-#include "transforms/StandardPlan.h"
 
 #include <cerrno>
 #include <climits>
@@ -74,79 +72,75 @@ std::string mpc::bench::fmtMeanCv(const SampleStats &S) {
   return Buf;
 }
 
-RunResult mpc::bench::runOnce(const WorkloadProfile &Profile,
-                              PipelineKind Kind, StopAfter Stop,
-                              bool Simulate, uint64_t YoungGenBytes,
-                              bool SlabHeap) {
+namespace {
+
+/// Compiles \p Profile's sources with \p Compile in a fresh context and
+/// reads the counters while the trees \p Compile returns are still
+/// alive: tenuring is then attributed to objects that died *during* the
+/// pipeline — the intermediate trees whose lifetime the paper's Figure 6
+/// is about. (The final trees are promoted equally under both
+/// configurations and would only dilute the comparison.)
+template <typename CompileFn>
+RunResult measure(const WorkloadProfile &Profile, bool Simulate,
+                  uint64_t YoungGenBytes, bool SlabHeap, CompileFn Compile) {
   RunResult R;
   auto Sources = generateWorkload(Profile);
   R.Loc = countLines(Sources);
-
   CompilerOptions Opts;
   Opts.SlabHeap = SlabHeap;
   CompilerContext Comp(Opts);
   if (YoungGenBytes)
     Comp.heap().setGeometry(YoungGenBytes, 1);
-  Comp.options().FuseMiniphases = Kind == PipelineKind::StandardFused;
-  Comp.options().AlwaysCopy = Kind == PipelineKind::Legacy;
-
   CacheSim CS;
   PerfCounters PC(CS);
   if (Simulate)
     Comp.attachSimulators(&CS, &PC);
-
-  std::vector<std::string> Errors;
-  PhasePlan Plan = makeStandardPlan(Comp.options().FuseMiniphases, Errors);
-  if (!Errors.empty()) {
-    std::fprintf(stderr, "plan error: %s\n", Errors.front().c_str());
+  auto Trees = Compile(Comp, std::move(Sources), R);
+  if (Comp.diags().hasErrors()) {
+    Comp.diags().printAll(errs());
     std::abort();
   }
-
-  {
-    Timer T;
-    std::vector<CompilationUnit> Units =
-        runFrontEnd(Comp, std::move(Sources));
-    R.FrontendSec = T.elapsedSeconds();
-    if (Comp.diags().hasErrors()) {
-      Comp.diags().printAll(errs());
-      std::abort();
-    }
-    for (const CompilationUnit &U : Units)
-      R.NodesBeforeTransforms += countNodes(U.Root.get());
-    // Stage boundary: promotions up to here belong to the frontend even
-    // when the promoted object (the typed tree) dies mid-transformations.
-    Comp.heap().markBoundary();
-
-    if (Stop != StopAfter::Frontend) {
-      TransformPipeline Pipeline(Plan);
-      T.reset();
-      PipelineResult PR = Pipeline.run(Units, Comp);
-      R.TransformSec = T.elapsedSeconds();
-      R.Traversals = PR.Traversals;
-      R.NodesVisited = PR.NodesVisited;
-      R.HooksExecuted = PR.HooksExecuted;
-      R.SubtreesPruned = PR.SubtreesPruned;
-    }
-    if (Stop == StopAfter::Everything) {
-      T.reset();
-      Program Prog = generateCode(Units, Comp);
-      R.BackendSec = T.elapsedSeconds();
-      (void)Prog;
-    }
-    // Capture the generational statistics while the final trees are still
-    // alive: tenuring is then attributed to objects that died *during*
-    // the pipeline — the intermediate trees whose lifetime the paper's
-    // Figure 6 is about. (The final trees are promoted equally under both
-    // configurations and would only dilute the comparison.)
-    R.Heap = Comp.heap().stats();
-    const SlabAllocator::Stats &Backend = Comp.heap().backendStats();
-    R.RealAllocs = Backend.SystemCalls;
-    R.SlabHits = Backend.SlabAllocs;
-    R.PagesMapped = Backend.PagesMapped;
-  }
+  R.Heap = Comp.heap().stats();
+  R.Backend = Comp.heap().backendStats();
   R.Cache = CS.counters();
   R.Perf = PC.stats();
   return R;
+}
+
+} // namespace
+
+RunResult mpc::bench::runOnce(const WorkloadProfile &Profile,
+                              PipelineKind Kind, bool Simulate,
+                              uint64_t YoungGenBytes, bool SlabHeap) {
+  return measure(Profile, Simulate, YoungGenBytes, SlabHeap,
+                 [Kind](CompilerContext &Comp, std::vector<SourceInput> Src,
+                        RunResult &R) {
+                   CompileOutput Out =
+                       compileProgram(Comp, std::move(Src), Kind);
+                   if (!Out.PlanErrors.empty()) {
+                     std::fprintf(stderr, "plan error: %s\n",
+                                  Out.PlanErrors.front().c_str());
+                     std::abort();
+                   }
+                   R.Timings = Out.Timings;
+                   R.Groups = Out.Groups;
+                   return Out;
+                 });
+}
+
+RunResult mpc::bench::runFrontendOnly(const WorkloadProfile &Profile,
+                                      bool Simulate, uint64_t YoungGenBytes) {
+  return measure(Profile, Simulate, YoungGenBytes, /*SlabHeap=*/true,
+                 [](CompilerContext &Comp, std::vector<SourceInput> Src,
+                    RunResult &R) {
+                   std::vector<CompilationUnit> Units =
+                       runFrontEnd(Comp, std::move(Src));
+                   // The same stage boundary compileProgram marks.
+                   Comp.heap().markBoundary();
+                   for (const CompilationUnit &U : Units)
+                     R.FrontendNodes += countNodes(U.Root.get());
+                   return Units;
+                 });
 }
 
 IsolatedTransforms
@@ -156,11 +150,11 @@ mpc::bench::isolateTransforms(const WorkloadProfile &Profile,
   // Paper §5.3: "we made two modified versions ... one stops execution
   // after the front end, and the other stops after the tree
   // transformations. We subtracted the counts of the two versions."
+  // The second version is the unmodified driver: code generation adds
+  // nothing to the heap, cache or instruction counters.
   IsolatedTransforms Iso;
-  RunResult FrontOnly =
-      runOnce(Profile, Kind, StopAfter::Frontend, Simulate, YoungGenBytes);
-  Iso.Full = runOnce(Profile, Kind, StopAfter::Transforms, Simulate,
-                     YoungGenBytes);
+  RunResult FrontOnly = runFrontendOnly(Profile, Simulate, YoungGenBytes);
+  Iso.Full = runOnce(Profile, Kind, Simulate, YoungGenBytes);
 
   auto Sub = [](uint64_t A, uint64_t B) { return A > B ? A - B : 0; };
   Iso.Heap.AllocatedBytes =
@@ -179,25 +173,17 @@ mpc::bench::isolateTransforms(const WorkloadProfile &Profile,
           Iso.Full.Heap.TenuredBeforeBoundaryObjects);
   Iso.Heap.MinorGCs = Sub(Iso.Full.Heap.MinorGCs, FrontOnly.Heap.MinorGCs);
 
-  const CacheCounters &A = Iso.Full.Cache;
-  const CacheCounters &B = FrontOnly.Cache;
-  Iso.Cache.L1DLoads = Sub(A.L1DLoads, B.L1DLoads);
-  Iso.Cache.L1DLoadMisses = Sub(A.L1DLoadMisses, B.L1DLoadMisses);
-  Iso.Cache.L1DStores = Sub(A.L1DStores, B.L1DStores);
-  Iso.Cache.L1DStoreMisses = Sub(A.L1DStoreMisses, B.L1DStoreMisses);
-  Iso.Cache.L1IFetches = Sub(A.L1IFetches, B.L1IFetches);
-  Iso.Cache.L1IMisses = Sub(A.L1IMisses, B.L1IMisses);
-  Iso.Cache.L2Accesses = Sub(A.L2Accesses, B.L2Accesses);
-  Iso.Cache.L2Misses = Sub(A.L2Misses, B.L2Misses);
-  Iso.Cache.L3Accesses = Sub(A.L3Accesses, B.L3Accesses);
-  Iso.Cache.L3Misses = Sub(A.L3Misses, B.L3Misses);
-  Iso.Cache.MemoryAccesses = Sub(A.MemoryAccesses, B.MemoryAccesses);
-
-  Iso.Perf.Instructions =
-      Sub(Iso.Full.Perf.Instructions, FrontOnly.Perf.Instructions);
-  Iso.Perf.Cycles = Sub(Iso.Full.Perf.Cycles, FrontOnly.Perf.Cycles);
-  Iso.Perf.StalledCycles =
-      Sub(Iso.Full.Perf.StalledCycles, FrontOnly.Perf.StalledCycles);
+  for (uint64_t CacheCounters::*F :
+       {&CacheCounters::L1DLoads, &CacheCounters::L1DLoadMisses,
+        &CacheCounters::L1DStores, &CacheCounters::L1DStoreMisses,
+        &CacheCounters::L1IFetches, &CacheCounters::L1IMisses,
+        &CacheCounters::L2Accesses, &CacheCounters::L2Misses,
+        &CacheCounters::L3Accesses, &CacheCounters::L3Misses,
+        &CacheCounters::MemoryAccesses})
+    Iso.Cache.*F = Sub(Iso.Full.Cache.*F, FrontOnly.Cache.*F);
+  for (uint64_t PerfStats::*F : {&PerfStats::Instructions, &PerfStats::Cycles,
+                                 &PerfStats::StalledCycles})
+    Iso.Perf.*F = Sub(Iso.Full.Perf.*F, FrontOnly.Perf.*F);
   return Iso;
 }
 

@@ -1,19 +1,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Shared measurement harness for the figure benchmarks. Mirrors the
-/// paper's methodology (§5.3): to isolate the tree-transformation
-/// pipeline, a run stopping after the front end is subtracted from a run
-/// stopping after the transformations.
+/// Shared measurement harness for the figure benchmarks. Every measured
+/// compile is one compileProgram call, read back through its report
+/// (CompileOutput's timings and per-group entries). The paper's §5.3
+/// isolates the tree-transformation pipeline by subtracting a run that
+/// stops after the front end; here that is a frontend-only baseline (the
+/// one staged run in bench/: runFrontEnd plus the heap boundary mark) and
+/// one driver run. Code generation allocates no trees and issues no simulated
+/// accesses, so the driver run's counters end where the transformations
+/// do.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MPC_BENCH_BENCHCOMMON_H
 #define MPC_BENCH_BENCHCOMMON_H
 
-#include "backend/CodeGen.h"
 #include "driver/Driver.h"
-#include "core/Pipeline.h"
 #include "memsim/CacheSim.h"
 #include "memsim/ManagedHeap.h"
 #include "memsim/PerfCounters.h"
@@ -25,46 +28,42 @@
 namespace mpc {
 namespace bench {
 
-/// How far to run the compiler.
-enum class StopAfter { Frontend, Transforms, Everything };
-
 /// One measured compiler run.
 struct RunResult {
-  double FrontendSec = 0;
-  double TransformSec = 0;
-  double BackendSec = 0;
-  uint64_t Traversals = 0;
   uint64_t Loc = 0;
-  uint64_t NodesBeforeTransforms = 0;
-  /// Fusion-engine counters for the transform stage (fused runs only).
-  uint64_t NodesVisited = 0;
-  uint64_t HooksExecuted = 0;
-  uint64_t SubtreesPruned = 0;
-  /// Real-storage allocator counters for the whole run (system-allocator
-  /// calls, slab-served allocations, slab pages).
-  uint64_t RealAllocs = 0;
-  uint64_t SlabHits = 0;
-  uint64_t PagesMapped = 0;
-  HeapStats Heap;        // whole-run heap statistics
+  /// The driver's report (driver runs only).
+  CompileTimings Timings;
+  std::vector<GroupReport> Groups;
+  /// Typed tree nodes the front end produced (frontend-only runs only).
+  uint64_t FrontendNodes = 0;
+  /// Simulated heap statistics, read while the final trees are alive.
+  HeapStats Heap;
+  /// Real-storage backend counters for the whole run.
+  SlabAllocator::Stats Backend;
   CacheCounters Cache;   // simulated cache counters (when simulated)
   PerfStats Perf;        // simulated instruction/cycle counters
 };
 
-/// Runs the compiler on \p Profile's generated sources. When \p Simulate,
-/// the cache/perf simulators are attached (slow; used by Figs 7/8).
-/// \p SlabHeap selects the real-storage backend (the simulated heap
-/// figures are identical either way; fig5 compares the real side).
+/// Compiles \p Profile's generated sources with compileProgram. When
+/// \p Simulate, the cache/perf simulators are attached (slow; used by
+/// Figs 7/8). \p SlabHeap selects the real-storage backend (the
+/// simulated heap figures are identical either way; fig5 compares the
+/// real side).
 RunResult runOnce(const WorkloadProfile &Profile, PipelineKind Kind,
-                  StopAfter Stop, bool Simulate,
-                  uint64_t YoungGenBytes = 0, bool SlabHeap = true);
+                  bool Simulate, uint64_t YoungGenBytes = 0,
+                  bool SlabHeap = true);
 
-/// Transform-stage isolation via subtraction of a frontend-only run
-/// (paper §5.3). Returns (through-transforms minus frontend-only).
+/// The §5.3 baseline: the same input through the front end only.
+RunResult runFrontendOnly(const WorkloadProfile &Profile, bool Simulate,
+                          uint64_t YoungGenBytes = 0);
+
+/// Transform-stage isolation (paper §5.3): a driver run minus the
+/// frontend-only baseline.
 struct IsolatedTransforms {
   HeapStats Heap;
   CacheCounters Cache;
   PerfStats Perf;
-  RunResult Full; // the through-transforms run, for times
+  RunResult Full; // the driver run, for times
 };
 IsolatedTransforms isolateTransforms(const WorkloadProfile &Profile,
                                      PipelineKind Kind, bool Simulate,

@@ -9,11 +9,6 @@
 
 #include "BenchCommon.h"
 
-#include "core/Pipeline.h"
-#include "frontend/Frontend.h"
-#include "support/Timer.h"
-#include "transforms/StandardPlan.h"
-
 #include <cstdio>
 
 using namespace mpc;
@@ -22,11 +17,8 @@ using namespace mpc::bench;
 namespace {
 
 struct ConfigResult {
-  SampleStats Time;                     // over all repetitions
-  uint64_t Hooks = 0;                   // counters from one repetition
-  uint64_t Visited = 0;
-  uint64_t Pruned = 0;
-  std::vector<uint64_t> PerBlockVisited; // per fused block, plan order
+  SampleStats Time;               // over all repetitions
+  std::vector<GroupReport> Groups; // the driver's report, one repetition
 };
 
 ConfigResult runConfig(const WorkloadProfile &P, FusionStrategy Strategy,
@@ -35,34 +27,25 @@ ConfigResult runConfig(const WorkloadProfile &P, FusionStrategy Strategy,
   ConfigResult R;
   std::vector<double> Samples;
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
-    auto Sources = generateWorkload(P);
     CompilerContext Comp;
-    Comp.options().FuseMiniphases = true;
     Comp.options().Strategy = Strategy;
     Comp.options().IdentitySkip = IdentitySkip;
     Comp.options().SubtreePruning = SubtreePruning;
-    std::vector<std::string> Errors;
-    PhasePlan Plan = makeStandardPlan(true, Errors);
-    auto Units = runFrontEnd(Comp, std::move(Sources));
-    TransformPipeline Pipeline(Plan);
-    Timer T;
-    PipelineResult PR = Pipeline.run(Units, Comp);
-    Samples.push_back(T.elapsedSeconds());
-    R.Hooks = PR.HooksExecuted;
-    R.Visited = PR.NodesVisited;
-    R.Pruned = PR.SubtreesPruned;
-    R.PerBlockVisited.clear();
-    for (FusedBlock *B : Plan.fusedBlocks())
-      R.PerBlockVisited.push_back(B->nodesVisited());
+    CompileOutput Out = compileProgram(Comp, generateWorkload(P),
+                                       PipelineKind::StandardFused);
+    Samples.push_back(Out.Timings.TransformSec);
+    R.Groups = std::move(Out.Groups);
   }
   R.Time = meanCv(Samples);
   return R;
 }
 
 void printRow(const char *Name, const ConfigResult &R) {
+  GroupReport Sum = sumGroups(R.Groups);
   std::printf("  %-44s %16s %13llu %13llu %10llu\n", Name,
-              fmtMeanCv(R.Time).c_str(), (unsigned long long)R.Hooks,
-              (unsigned long long)R.Visited, (unsigned long long)R.Pruned);
+              fmtMeanCv(R.Time).c_str(), (unsigned long long)Sum.HooksExecuted,
+              (unsigned long long)Sum.NodesVisited,
+              (unsigned long long)Sum.SubtreesPruned);
 }
 
 } // namespace
@@ -96,28 +79,31 @@ int main() {
   printRow("mask checks per phase (optimization 2 off)", Naive);
   printRow("all hooks invoked (both §4 optimizations off)", NoSkip);
 
-  // Per-block pruning effect: nodes visited with pruning on vs off.
+  // Per-block pruning effect: nodes visited with pruning on vs off. A
+  // group that walks no nodes (the Erasure megaphase) has no row.
   std::printf("\n  per-block nodesVisited (pruning on vs off):\n");
   double BestCut = 0;
-  for (size_t I = 0; I < NoPrune.PerBlockVisited.size() &&
-                     I < Shipped.PerBlockVisited.size();
+  for (size_t I = 0; I < NoPrune.Groups.size() && I < Shipped.Groups.size();
        ++I) {
-    uint64_t On = Shipped.PerBlockVisited[I];
-    uint64_t Off = NoPrune.PerBlockVisited[I];
-    double Cut = Off ? 1.0 - double(On) / double(Off) : 0.0;
+    uint64_t On = Shipped.Groups[I].NodesVisited;
+    uint64_t Off = NoPrune.Groups[I].NodesVisited;
+    if (Off == 0)
+      continue;
+    double Cut = 1.0 - double(On) / double(Off);
     if (Cut > BestCut)
       BestCut = Cut;
-    std::printf("    block %zu: %10llu -> %10llu  (%s)\n", I,
-                (unsigned long long)Off, (unsigned long long)On,
-                fmtPct(-Cut).c_str());
+    std::printf("    %-18s %10llu -> %10llu  (%s)\n",
+                Shipped.Groups[I].Name.c_str(), (unsigned long long)Off,
+                (unsigned long long)On, fmtPct(-Cut).c_str());
   }
 
   std::printf("\n  identity-skip avoids %.1fx hook invocations; pruning "
               "skips %s of visited nodes (best block %s); combined "
               "speedup vs no optimizations: %s\n",
-              double(NoSkip.Hooks) / double(Shipped.Hooks),
-              fmtPct(-(1.0 - double(Shipped.Visited) /
-                               double(NoPrune.Visited)))
+              double(sumGroups(NoSkip.Groups).HooksExecuted) /
+                  double(sumGroups(Shipped.Groups).HooksExecuted),
+              fmtPct(-(1.0 - double(sumGroups(Shipped.Groups).NodesVisited) /
+                               double(sumGroups(NoPrune.Groups).NodesVisited)))
                   .c_str(),
               fmtPct(-BestCut).c_str(),
               fmtPct(Shipped.Time.Mean / NoSkip.Time.Mean - 1.0).c_str());

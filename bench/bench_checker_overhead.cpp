@@ -12,11 +12,7 @@
 
 #include "BenchCommon.h"
 
-#include "frontend/Frontend.h"
-#include "frontend/TypeAssigner.h"
 #include "support/OStream.h"
-#include "support/Timer.h"
-#include "transforms/StandardPlan.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -33,36 +29,18 @@ struct CheckedRun {
 };
 
 CheckedRun runWithChecking(const WorkloadProfile &Profile, bool Check) {
-  CheckedRun R;
-  auto Sources = generateWorkload(Profile);
-
   CompilerContext Comp;
   Comp.options().CheckTrees = Check;
-
-  std::vector<std::string> Errors;
-  PhasePlan Plan = makeStandardPlan(/*Fuse=*/true, Errors);
-  if (!Errors.empty()) {
-    std::fprintf(stderr, "plan error: %s\n", Errors.front().c_str());
-    std::abort();
-  }
-
-  Timer Total;
-  std::vector<CompilationUnit> Units = runFrontEnd(Comp, std::move(Sources));
-  if (Comp.diags().hasErrors()) {
+  CompileOutput Out = compileProgram(Comp, generateWorkload(Profile),
+                                     PipelineKind::StandardFused);
+  if (!Out.PlanErrors.empty() || Comp.diags().hasErrors()) {
+    for (const std::string &E : Out.PlanErrors)
+      std::fprintf(stderr, "plan error: %s\n", E.c_str());
     Comp.diags().printAll(errs());
     std::abort();
   }
-
-  TreeChecker Checker(makeRetypeChecker());
-  TransformPipeline Pipeline(Plan);
-  Timer Transform;
-  PipelineResult PR = Pipeline.run(Units, Comp, Check ? &Checker : nullptr);
-  R.TransformSec = Transform.elapsedSeconds();
-  Program Prog = generateCode(Units, Comp);
-  (void)Prog;
-  R.TotalSec = Total.elapsedSeconds();
-  R.FailuresFound = PR.CheckFailures.size();
-  return R;
+  return {Out.Timings.totalSec(), Out.Timings.TransformSec,
+          Out.CheckFailures.size()};
 }
 
 void runWorkload(const WorkloadProfile &P, unsigned Reps) {

@@ -20,12 +20,12 @@ struct StageSamples {
   std::vector<double> Frontend, Transform, Backend, Total;
   RunResult Last;
 
-  void record(const RunResult &R) {
-    Frontend.push_back(R.FrontendSec);
-    Transform.push_back(R.TransformSec);
-    Backend.push_back(R.BackendSec);
-    Total.push_back(R.FrontendSec + R.TransformSec + R.BackendSec);
-    Last = R;
+  void record(RunResult R) {
+    Frontend.push_back(R.Timings.FrontendSec);
+    Transform.push_back(R.Timings.TransformSec);
+    Backend.push_back(R.Timings.BackendSec);
+    Total.push_back(R.Timings.totalSec());
+    Last = std::move(R);
   }
 };
 
@@ -34,19 +34,18 @@ void runWorkload(const WorkloadProfile &P, unsigned Reps) {
   // evenly across both sample sets.
   StageSamples Fused, Unfused;
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
-    Fused.record(
-        runOnce(P, PipelineKind::StandardFused, StopAfter::Everything, false));
-    Unfused.record(runOnce(P, PipelineKind::StandardUnfused,
-                           StopAfter::Everything, false));
+    Fused.record(runOnce(P, PipelineKind::StandardFused, false));
+    Unfused.record(runOnce(P, PipelineKind::StandardUnfused, false));
   }
+  uint64_t Nodes = runFrontendOnly(P, false).FrontendNodes;
 
   std::printf("\n[%s: %llu LOC, %llu nodes, %llu vs %llu traversals, "
               "%llu subtrees pruned]\n",
               P.Name.c_str(), (unsigned long long)Fused.Last.Loc,
-              (unsigned long long)Fused.Last.NodesBeforeTransforms,
-              (unsigned long long)Fused.Last.Traversals,
-              (unsigned long long)Unfused.Last.Traversals,
-              (unsigned long long)Fused.Last.SubtreesPruned);
+              (unsigned long long)Nodes,
+              (unsigned long long)Fused.Last.Groups.size(),
+              (unsigned long long)Unfused.Last.Groups.size(),
+              (unsigned long long)sumGroups(Fused.Last.Groups).SubtreesPruned);
   std::printf("  %-22s %16s %16s %10s\n", "stage", "miniphase", "megaphase",
               "delta");
   auto Row = [](const char *Stage, const std::vector<double> &A,
@@ -80,8 +79,7 @@ int main() {
   unsigned Reps = benchReps();
   printScaleReps(Scale, Reps);
   // Warm up the allocator before measuring.
-  runOnce(stdlibProfile(0.05), PipelineKind::StandardFused,
-          StopAfter::Everything, false);
+  runOnce(stdlibProfile(0.05), PipelineKind::StandardFused, false);
   runWorkload(stdlibProfile(Scale), Reps);
   runWorkload(dottyProfile(Scale), Reps);
   return 0;

@@ -33,8 +33,8 @@ static void runWorkload(const WorkloadProfile &P, const char *PaperDelta,
       std::fprintf(stderr, "simulated heap stats drifted across reps\n");
       std::abort();
     }
-    FusedSec.push_back(F.Full.TransformSec);
-    UnfusedSec.push_back(U.Full.TransformSec);
+    FusedSec.push_back(F.Full.Timings.TransformSec);
+    UnfusedSec.push_back(U.Full.Timings.TransformSec);
     Fused = F;
     Unfused = U;
   }
@@ -58,20 +58,22 @@ static void runWorkload(const WorkloadProfile &P, const char *PaperDelta,
   // Real allocator side: system-allocator calls for one full fused run,
   // slab backend on vs. off. The simulated numbers above are identical
   // under both backends (pinned by the slab-invariance test).
-  RunResult SlabOn = runOnce(P, PipelineKind::StandardFused,
-                             StopAfter::Transforms, false, 256ull << 10,
-                             /*SlabHeap=*/true);
-  RunResult SlabOff = runOnce(P, PipelineKind::StandardFused,
-                              StopAfter::Transforms, false, 256ull << 10,
-                              /*SlabHeap=*/false);
+  SlabAllocator::Stats SlabOn =
+      runOnce(P, PipelineKind::StandardFused, false, 256ull << 10,
+              /*SlabHeap=*/true)
+          .Backend;
+  SlabAllocator::Stats SlabOff =
+      runOnce(P, PipelineKind::StandardFused, false, 256ull << 10,
+              /*SlabHeap=*/false)
+          .Backend;
   std::printf("  real allocator:  %llu system calls (slab on, %llu pages, "
               "%llu slab hits)\n",
-              (unsigned long long)SlabOn.RealAllocs,
+              (unsigned long long)SlabOn.SystemCalls,
               (unsigned long long)SlabOn.PagesMapped,
-              (unsigned long long)SlabOn.SlabHits);
+              (unsigned long long)SlabOn.SlabAllocs);
   std::printf("                   %llu system calls (slab off)   delta %s\n",
-              (unsigned long long)SlabOff.RealAllocs,
-              fmtPct(double(SlabOn.RealAllocs) / double(SlabOff.RealAllocs) -
+              (unsigned long long)SlabOff.SystemCalls,
+              fmtPct(double(SlabOn.SystemCalls) / double(SlabOff.SystemCalls) -
                      1.0)
                   .c_str());
 }

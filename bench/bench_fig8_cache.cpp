@@ -24,8 +24,8 @@ static void runWorkload(const WorkloadProfile &P, unsigned Reps) {
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
     F = isolateTransforms(P, PipelineKind::StandardFused, true);
     U = isolateTransforms(P, PipelineKind::StandardUnfused, true);
-    FusedSec.push_back(F.Full.TransformSec);
-    UnfusedSec.push_back(U.Full.TransformSec);
+    FusedSec.push_back(F.Full.Timings.TransformSec);
+    UnfusedSec.push_back(U.Full.Timings.TransformSec);
   }
   SampleStats TF = meanCv(FusedSec), TU = meanCv(UnfusedSec);
 

@@ -28,16 +28,14 @@ static void runWorkload(const WorkloadProfile &P, const char *PaperTrans,
   } Dotty, Scalac;
   uint64_t Loc = 0;
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
-    RunResult D =
-        runOnce(P, PipelineKind::StandardFused, StopAfter::Everything, false);
-    RunResult S =
-        runOnce(P, PipelineKind::Legacy, StopAfter::Everything, false);
-    Dotty.Frontend.push_back(D.FrontendSec);
-    Dotty.Transform.push_back(D.TransformSec);
-    Dotty.Backend.push_back(D.BackendSec);
-    Scalac.Frontend.push_back(S.FrontendSec * LegacyFrontendFactor);
-    Scalac.Transform.push_back(S.TransformSec);
-    Scalac.Backend.push_back(S.BackendSec);
+    RunResult D = runOnce(P, PipelineKind::StandardFused, false);
+    RunResult S = runOnce(P, PipelineKind::Legacy, false);
+    Dotty.Frontend.push_back(D.Timings.FrontendSec);
+    Dotty.Transform.push_back(D.Timings.TransformSec);
+    Dotty.Backend.push_back(D.Timings.BackendSec);
+    Scalac.Frontend.push_back(S.Timings.FrontendSec * LegacyFrontendFactor);
+    Scalac.Transform.push_back(S.Timings.TransformSec);
+    Scalac.Backend.push_back(S.Timings.BackendSec);
     Loc = D.Loc;
   }
 
@@ -78,8 +76,7 @@ int main() {
   unsigned Reps = benchReps();
   printScaleReps(Scale, Reps);
   // Warm up the allocator before measuring.
-  runOnce(stdlibProfile(0.05), PipelineKind::StandardFused,
-          StopAfter::Everything, false);
+  runOnce(stdlibProfile(0.05), PipelineKind::StandardFused, false);
   runWorkload(stdlibProfile(Scale), "42%", "51%", Reps);
   runWorkload(dottyProfile(Scale), "39%", "58%", Reps);
   return 0;

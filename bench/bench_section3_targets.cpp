@@ -18,24 +18,23 @@ int main() {
               "budget for fused traversals");
   double Scale = benchScale(1.0);
   WorkloadProfile P = stdlibProfile(Scale);
-  RunResult Fused =
-      runOnce(P, PipelineKind::StandardFused, StopAfter::Transforms, false);
-  RunResult Unfused = runOnce(P, PipelineKind::StandardUnfused,
-                              StopAfter::Transforms, false);
+  uint64_t Nodes = runFrontendOnly(P, false).FrontendNodes;
+  RunResult Fused = runOnce(P, PipelineKind::StandardFused, false);
+  RunResult Unfused = runOnce(P, PipelineKind::StandardUnfused, false);
 
-  double NodesPerLoc =
-      double(Fused.NodesBeforeTransforms) / double(Fused.Loc);
-  double LocPerSec = double(Fused.Loc) / Fused.TransformSec;
+  // Each plan group is one whole-tree traversal.
+  double NodesPerLoc = double(Nodes) / double(Fused.Loc);
+  double LocPerSec = double(Fused.Loc) / Fused.Timings.TransformSec;
   double NsPerNodeVisitFused =
-      Fused.TransformSec * 1e9 /
-      (double(Fused.NodesBeforeTransforms) * double(Fused.Traversals));
+      Fused.Timings.TransformSec * 1e9 /
+      (double(Nodes) * double(Fused.Groups.size()));
   double NsPerNodeVisitUnfused =
-      Unfused.TransformSec * 1e9 /
-      (double(Unfused.NodesBeforeTransforms) * double(Unfused.Traversals));
+      Unfused.Timings.TransformSec * 1e9 /
+      (double(Nodes) * double(Unfused.Groups.size()));
 
   std::printf("workload: %llu LOC, %llu typed nodes\n",
               (unsigned long long)Fused.Loc,
-              (unsigned long long)Fused.NodesBeforeTransforms);
+              (unsigned long long)Nodes);
   std::printf("  nodes per line:            %6.1f   (paper assumes ~12)\n",
               NodesPerLoc);
   std::printf("  transform throughput:      %6.0f LOC/s  (target >= "
@@ -43,7 +42,7 @@ int main() {
               LocPerSec);
   std::printf("  traversals (fused):        %6llu   (paper targets ~10 "
               "for ~100 phases)\n",
-              (unsigned long long)Fused.Traversals);
+              (unsigned long long)Fused.Groups.size());
   std::printf("  ns per node visit, fused:  %6.1f   (budget 140 ns)\n",
               NsPerNodeVisitFused);
   std::printf("  ns per node visit, split:  %6.1f   (budget 14 ns)\n",

@@ -121,12 +121,12 @@ int main() {
   CompileOutput Folded = compileProgramWithPlan(
       Comp2, {{"demo.scala", DemoSource}}, Custom);
 
-  std::printf("stock pipeline:      %2zu phases, %llu traversals\n",
+  std::printf("stock pipeline:      %2zu phases, %zu traversals\n",
               Stock.phaseCount(),
-              (unsigned long long)Plain.Timings.Traversals);
-  std::printf("with ConstFold:      %2zu phases, %llu traversals\n",
+              Plain.Groups.size());
+  std::printf("with ConstFold:      %2zu phases, %zu traversals\n",
               Custom.phaseCount(),
-              (unsigned long long)Folded.Timings.Traversals);
+              Folded.Groups.size());
   std::printf("=> one more phase, same traversal count: the new phase "
               "fused into its block.\n\n");
 

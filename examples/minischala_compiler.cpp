@@ -51,11 +51,15 @@ int main(int argc, char **argv) {
 
   outs() << "frontend   " << Out.Timings.FrontendSec << "s\n"
          << "transforms " << Out.Timings.TransformSec << "s ("
-         << Out.Timings.Traversals << " tree traversals)\n"
+         << Out.Groups.size() << " tree traversals)\n"
          << "backend    " << Out.Timings.BackendSec << "s\n"
          << "bytecode   " << Out.Prog.totalInstructions()
          << " instructions in " << Out.Prog.Classes.size() << " classes\n";
-  Comp.stats().printPrefixed(outs(), "fusion.");
+  // The driver's report: one line per plan group (one traversal each).
+  for (const GroupReport &G : Out.Groups)
+    outs() << "  group " << G.Name << ": " << G.NodesVisited
+           << " nodes visited, " << G.HooksExecuted << " hooks, "
+           << G.SubtreesPruned << " subtrees pruned\n";
 
   if (Out.EntryPoints.empty()) {
     outs() << "(no main method; nothing to run)\n";

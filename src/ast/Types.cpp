@@ -67,6 +67,45 @@ void printList(std::string &Out, const std::vector<const Type *> &Tys) {
     Tys[I]->print(Out);
   }
 }
+
+/// Binding strength of a rendering, loosest first: arrow forms extend as
+/// far right as they can, `&` binds tighter than `|`, the rest are atoms.
+enum class Prec : uint8_t { Arrow, Or, And, Atom };
+
+Prec precedence(const Type *T) {
+  switch (T->kind()) {
+  case TypeKind::Function:
+  case TypeKind::Method:
+  case TypeKind::Poly:
+  case TypeKind::Expr:
+    return Prec::Arrow;
+  case TypeKind::Union:
+    return Prec::Or;
+  case TypeKind::Intersection:
+    return Prec::And;
+  default:
+    return Prec::Atom;
+  }
+}
+
+/// Prints \p T, parenthesized when it binds looser than \p Min.
+void printOperand(std::string &Out, const Type *T, Prec Min) {
+  bool Paren = precedence(T) < Min;
+  if (Paren)
+    Out += '(';
+  T->print(Out);
+  if (Paren)
+    Out += ')';
+}
+
+/// `L Op R` for a left-associative operator of strength \p P: the right
+/// operand needs one level more, so `A | (B | C)` keeps its parentheses.
+void printBinary(std::string &Out, const Type *L, const char *Op,
+                 const Type *R, Prec P) {
+  printOperand(Out, L, P);
+  Out += Op;
+  printOperand(Out, R, Prec(uint8_t(P) + 1));
+}
 } // namespace
 
 void Type::print(std::string &Out) const {
@@ -144,18 +183,16 @@ void Type::print(std::string &Out) const {
     cast<ExprType>(this)->result()->print(Out);
     return;
   case TypeKind::Repeated:
-    cast<RepeatedType>(this)->elem()->print(Out);
+    printOperand(Out, cast<RepeatedType>(this)->elem(), Prec::Atom);
     Out += '*';
     return;
   case TypeKind::Union:
-    cast<UnionType>(this)->left()->print(Out);
-    Out += " | ";
-    cast<UnionType>(this)->right()->print(Out);
+    printBinary(Out, cast<UnionType>(this)->left(), " | ",
+                cast<UnionType>(this)->right(), Prec::Or);
     return;
   case TypeKind::Intersection:
-    cast<IntersectionType>(this)->left()->print(Out);
-    Out += " & ";
-    cast<IntersectionType>(this)->right()->print(Out);
+    printBinary(Out, cast<IntersectionType>(this)->left(), " & ",
+                cast<IntersectionType>(this)->right(), Prec::And);
     return;
   case TypeKind::TypeParam:
     Out += cast<TypeParamRef>(this)->param()->name().text();

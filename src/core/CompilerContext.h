@@ -69,8 +69,8 @@ struct CompilerOptions {
   /// allocator instead of one system allocation per node. Affects only
   /// where real bytes live: the simulated allocation clock (Figures 5/6)
   /// is byte-identical with the slab on or off. Off exists for the
-  /// allocator-invariance tests and for baseline comparisons of the
-  /// "heap.realAllocs" counter. Takes effect through the
+  /// allocator-invariance tests and for baseline comparisons of
+  /// system-allocator calls (bench_fig5). Takes effect through the
   /// CompilerContext(Opts) constructor or adoptOptions() right after
   /// reset() — the backend cannot change while the heap holds
   /// allocations.

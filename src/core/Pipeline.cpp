@@ -1,10 +1,25 @@
 #include "core/Pipeline.h"
 
 #include "support/FaultInjector.h"
+#include "support/Timer.h"
 
 #include <cassert>
+#include <optional>
 
 using namespace mpc;
+
+GroupReport mpc::sumGroups(const std::vector<GroupReport> &Groups) {
+  GroupReport Sum;
+  for (const GroupReport &G : Groups) {
+    Sum.Sec += G.Sec;
+    Sum.NodesVisited += G.NodesVisited;
+    Sum.HooksExecuted += G.HooksExecuted;
+    Sum.SubtreesPruned += G.SubtreesPruned;
+    Sum.PrepareOnlyWalks += G.PrepareOnlyWalks;
+    Sum.RealAllocs += G.RealAllocs;
+  }
+  return Sum;
+}
 
 PipelineResult TransformPipeline::run(std::vector<CompilationUnit> &Units,
                                       CompilerContext &Comp,
@@ -13,48 +28,53 @@ PipelineResult TransformPipeline::run(std::vector<CompilationUnit> &Units,
   bool Check = Comp.options().CheckTrees;
   assert((!Check || Checker) && "CheckTrees requires a TreeChecker");
 
-  // Heap-backend counters accumulate for the context's lifetime; this
-  // run's share is the delta around the group loop.
   const SlabAllocator::Stats &Backend = Comp.heap().backendStats();
-  uint64_t RealAllocs0 = Backend.SystemCalls;
-  uint64_t SlabHits0 = Backend.SlabAllocs;
-  uint64_t PagesMapped0 = Backend.PagesMapped;
-  uint64_t PagesRetired0 = Backend.PagesRetired;
-
   const auto &Groups = Plan.groups();
   for (size_t G = 0; G < Groups.size(); ++G) {
     const PhaseGroup &Group = Groups[G];
-    if (Group.isFused()) {
-      // One traversal applies every miniphase of the group (Figure 2/3).
-      // Blocks accumulate their counters across runs, so this run's share
-      // is the delta around the unit loop.
-      uint64_t Visited0 = Group.Block->nodesVisited();
-      uint64_t Hooks0 = Group.Block->hooksExecuted();
-      uint64_t Pruned0 = Group.Block->subtreesPruned();
-      uint64_t PrepOnly0 = Group.Block->prepareOnlyWalks();
-      for (CompilationUnit &Unit : Units) {
-        // Phase-entry fault point + cancellation checkpoint: both fire
-        // between traversals only, so an unwind from here crosses nothing
-        // but RAII-held trees (runOnUnit runs its own checkpoint).
-        faultStagePoint(FaultSite::PhaseEntry);
-        Group.Block->runOnUnit(Unit, Comp);
+    // Unfused groups hold exactly one phase (PhasePlan::build).
+    assert((Group.isFused() || Group.Members.size() == 1) &&
+           "an unfused group is a single phase");
+    Phase *First = Group.Members.front();
+    // A lone miniphase walks as a single-phase block (Listing 4), as in
+    // MiniPhase::runOnUnit, but one whose counters the report can read.
+    std::optional<FusedBlock> Solo;
+    FusedBlock *Block = Group.Block.get();
+    if (!Block && First->isMini())
+      Block = &Solo.emplace(
+          std::vector<MiniPhase *>{static_cast<MiniPhase *>(First)});
+
+    // Blocks accumulate their counters across runs, so this run's share
+    // is the delta around the unit loop.
+    GroupReport &Entry = Result.Groups.emplace_back();
+    Entry.Name = First->name();
+    uint64_t Visited0 = Block ? Block->nodesVisited() : 0;
+    uint64_t Hooks0 = Block ? Block->hooksExecuted() : 0;
+    uint64_t Pruned0 = Block ? Block->subtreesPruned() : 0;
+    uint64_t PrepOnly0 = Block ? Block->prepareOnlyWalks() : 0;
+    uint64_t Allocs0 = Backend.SystemCalls;
+    Timer T;
+    // One whole-tree traversal over all units (Listing 3's phase-outer /
+    // unit-inner loop; Figure 2/3 when the group is fused).
+    for (CompilationUnit &Unit : Units) {
+      // Phase-entry fault point + cancellation checkpoint: both fire
+      // between traversals only, so an unwind from here crosses nothing
+      // but RAII-held trees (a block's runOnUnit runs its own checkpoint).
+      faultStagePoint(FaultSite::PhaseEntry);
+      if (Block) {
+        Block->runOnUnit(Unit, Comp);
+      } else {
+        Comp.checkpoint();
+        First->runOnUnit(Unit, Comp);
       }
-      Result.NodesVisited += Group.Block->nodesVisited() - Visited0;
-      Result.HooksExecuted += Group.Block->hooksExecuted() - Hooks0;
-      Result.SubtreesPruned += Group.Block->subtreesPruned() - Pruned0;
-      Result.PrepareOnlyWalks += Group.Block->prepareOnlyWalks() - PrepOnly0;
-      ++Result.Traversals;
-    } else {
-      // Unfused: each phase is a separate whole-tree pass over all units
-      // (Listing 3's phase-outer / unit-inner loop).
-      for (Phase *P : Group.Members) {
-        for (CompilationUnit &Unit : Units) {
-          faultStagePoint(FaultSite::PhaseEntry);
-          Comp.checkpoint();
-          P->runOnUnit(Unit, Comp);
-        }
-        ++Result.Traversals;
-      }
+    }
+    Entry.Sec = T.elapsedSeconds();
+    Entry.RealAllocs = Backend.SystemCalls - Allocs0;
+    if (Block) {
+      Entry.NodesVisited = Block->nodesVisited() - Visited0;
+      Entry.HooksExecuted = Block->hooksExecuted() - Hooks0;
+      Entry.SubtreesPruned = Block->subtreesPruned() - Pruned0;
+      Entry.PrepareOnlyWalks = Block->prepareOnlyWalks() - PrepOnly0;
     }
 
     if (Check) {
@@ -67,20 +87,5 @@ PipelineResult TransformPipeline::run(std::vector<CompilationUnit> &Units,
       }
     }
   }
-
-  Result.RealAllocs = Backend.SystemCalls - RealAllocs0;
-  Result.SlabHits = Backend.SlabAllocs - SlabHits0;
-  Result.PagesMapped = Backend.PagesMapped - PagesMapped0;
-  Result.PagesRetired = Backend.PagesRetired - PagesRetired0;
-
-  StatsRegistry &Stats = Comp.stats();
-  Stats.add("fusion.nodesVisited", Result.NodesVisited);
-  Stats.add("fusion.hooksExecuted", Result.HooksExecuted);
-  Stats.add("fusion.subtreesPruned", Result.SubtreesPruned);
-  Stats.add("fusion.prepareOnlyWalks", Result.PrepareOnlyWalks);
-  Stats.add("heap.realAllocs", Result.RealAllocs);
-  Stats.add("heap.slabHits", Result.SlabHits);
-  Stats.add("heap.pagesMapped", Result.PagesMapped);
-  Stats.add("heap.pagesRetired", Result.PagesRetired);
   return Result;
 }

@@ -20,28 +20,32 @@
 
 namespace mpc {
 
-/// Outcome of a pipeline run.
-struct PipelineResult {
-  /// Number of whole-tree traversals performed (groups in fused mode,
-  /// phases in unfused mode).
-  uint64_t Traversals = 0;
-  /// Fusion-engine counters summed over the fused groups of this run
-  /// (also accumulated into CompilerContext::stats() under the
-  /// "fusion.*" keys). Zero in the unfused configuration, whose solo
-  /// per-phase blocks are engine-internal temporaries.
+/// One plan group's share of a pipeline run, the unit the paper charges
+/// transformation cost to. Fused and unfused runs report alike — an unfused miniphase
+/// group reports the counters of its single-phase walk. A megaphase
+/// (Erasure) reports time and allocations; its walk counters stay zero.
+struct GroupReport {
+  /// The group's first phase (Table 2's block names).
+  std::string Name;
+  /// Wall time of the group's traversals over all units (checker excluded).
+  double Sec = 0;
+  /// Fusion-engine counters (see FusedBlock).
   uint64_t NodesVisited = 0;
   uint64_t HooksExecuted = 0;
   uint64_t SubtreesPruned = 0;
-  /// Subtrees walked hook-only by the prepare-only pruning gate.
   uint64_t PrepareOnlyWalks = 0;
-  /// Heap-backend deltas for this run (real storage, not the simulated
-  /// clock; also mirrored into CompilerContext::stats() as "heap.*"):
-  /// system-allocator calls, slab-served allocations, pages mapped, and
-  /// pages retired (fully freed and recycled into the shared pool).
+  /// System-allocator calls of the heap's real-storage backend.
   uint64_t RealAllocs = 0;
-  uint64_t SlabHits = 0;
-  uint64_t PagesMapped = 0;
-  uint64_t PagesRetired = 0;
+};
+
+/// Whole-run totals: every counter of \p Groups summed (Name is empty).
+GroupReport sumGroups(const std::vector<GroupReport> &Groups);
+
+/// Outcome of a pipeline run.
+struct PipelineResult {
+  /// One entry per plan group, in plan order. Each group is one
+  /// whole-tree traversal, so the entry count is the traversal count.
+  std::vector<GroupReport> Groups;
   /// TreeChecker failures, if checking was enabled.
   std::vector<CheckFailure> CheckFailures;
 };

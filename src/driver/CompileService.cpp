@@ -342,8 +342,6 @@ void CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf,
     Sheaf.add("service.jobsFaulted", 1);
   Sheaf.add("service.pagesShared", Backend.PagesFromPool - PagesFromPool0);
   Sheaf.add("service.pagesMapped", Backend.PagesMapped - PagesMapped0);
-  // Fold the job's pipeline counters into the service aggregate.
-  Sheaf.merge(Comp->stats());
 
   if (Status == JobStatus::Faulted) {
     // Fault containment: the exception's throw site is unknown (it may

@@ -58,7 +58,7 @@
 /// same way. First its context-free BatchResult goes to the sink
 /// (ServiceConfig::OnResult), called without the service lock held, so
 /// the reply leaves before any bookkeeping. Then, for a job a worker
-/// ran, the worker merges the job's stats, recycles or discards its
+/// ran, the worker counts the job in its sheaf, recycles or discards its
 /// context and installs the cache entry (compressing it). Only then does
 /// the job count as completed. drain() and stop() therefore never return
 /// while a sink call or that bookkeeping is still running, and a repeat
@@ -173,8 +173,8 @@ struct ServiceConfig {
   /// *completion* order. The callback runs on the completing worker's
   /// thread (or the admitting thread for refusals), never under the
   /// service lock, and must be thread-safe; it must not call back into
-  /// drain(). It runs before the job's bookkeeping (stats merge, context
-  /// recycle, cache insert). A job counts as completed only once its
+  /// drain(). It runs before the job's bookkeeping (sheaf counters,
+  /// context recycle, cache insert). A job counts as completed only once its
   /// callback has returned and that bookkeeping is done, so drain() waits
   /// for the callbacks of every job it covers (refusals included), and
   /// stop() returns only after the workers' callbacks for every admitted
@@ -243,9 +243,11 @@ public:
   /// service.cacheBytes, stored bytes, and service.cacheRawBytes, the
   /// uncompressed payload they hold), the admission/robustness counters
   /// (service.jobsRejected, jobsShed, jobsDeadlineExceeded, jobsFaulted,
-  /// contextsDiscarded, queueDepthPeak), plus the aggregated per-job
-  /// context counters (fusion.*, heap.*, frontend.*) of recycled jobs.
-  /// Stable between drain() calls.
+  /// contextsDiscarded, queueDepthPeak), and heap.pagesTrimmed (the
+  /// shared page pool's trim count, WarmContexts only). Only service-level
+  /// counters live here: a job's compile report travels in its result
+  /// (BatchResult::Timings, BatchResult::Heap), and the per-job context
+  /// counters are not aggregated. Stable between drain() calls.
   StatsRegistry &stats() { return Stats; }
 
   /// The shared page pool (WarmContexts), or null.
@@ -277,7 +279,7 @@ private:
 
   void workerMain(unsigned WorkerIdx);
   /// Replays a cache hit or compiles \p Job, hands the result to
-  /// \p Answer, and only then merges the job's stats, recycles or
+  /// \p Answer, and only then counts the job in \p Sheaf, recycles or
   /// discards its context and installs the cache entry. The caller
   /// counts the job completed afterwards.
   void runJob(BatchJob Job, StatsSheaf &Sheaf,

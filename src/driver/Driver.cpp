@@ -33,6 +33,9 @@ CompileOutput mpc::compileProgramWithPlan(CompilerContext &Comp,
   Out.Timings.FrontendSec = T.elapsedSeconds();
   if (Comp.diags().hasErrors())
     return Out;
+  // Promotions up to here belong to the frontend even when the promoted
+  // object (the typed tree) dies mid-transformations.
+  Comp.heap().markBoundary();
 
   // Stage boundary: a deadline that expired during the frontend surfaces
   // here rather than after a full pipeline run.
@@ -45,7 +48,7 @@ CompileOutput mpc::compileProgramWithPlan(CompilerContext &Comp,
   PipelineResult PR = Pipeline.run(
       Out.Units, Comp, Comp.options().CheckTrees ? &Checker : nullptr);
   Out.Timings.TransformSec = T.elapsedSeconds();
-  Out.Timings.Traversals = PR.Traversals;
+  Out.Groups = std::move(PR.Groups);
   Out.CheckFailures = std::move(PR.CheckFailures);
 
   // Back end.

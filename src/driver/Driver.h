@@ -2,8 +2,12 @@
 ///
 /// \file
 /// The compiler driver: frontend -> transformation pipeline -> code
-/// generator, with per-stage wall-clock timings (the measurements of the
-/// paper's Figures 4 and 9).
+/// generator. This is the one place the three stages run in sequence, and
+/// its CompileOutput is the one report of a compile: per-stage wall-clock
+/// timings (the measurements of the paper's Figures 4 and 9) and one
+/// GroupReport per plan group. The driver also marks the simulated
+/// heap's frontend/transform boundary, so Comp.heap().stats() attributes
+/// tenuring to the stage that promoted (Figure 6).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +45,6 @@ struct CompileTimings {
   /// request — even on a cache replay, where the compile-stage fields are
   /// the cached copy but the wait is this request's own.
   double QueueWaitSec = 0;
-  uint64_t Traversals = 0;
 
   /// Compile time only; queue wait is service overhead, not compilation,
   /// so it stays out of the per-stage total.
@@ -55,6 +58,10 @@ struct CompileOutput {
   std::vector<CompilationUnit> Units; // fully lowered trees
   Program Prog;                       // generated bytecode
   CompileTimings Timings;
+  /// One entry per plan group, in plan order (TransformPipeline::run);
+  /// the entry count is the number of whole-tree traversals. Empty when
+  /// the frontend reported errors.
+  std::vector<GroupReport> Groups;
   std::vector<CheckFailure> CheckFailures;
   std::vector<std::string> PlanErrors;
   std::vector<Symbol *> EntryPoints;

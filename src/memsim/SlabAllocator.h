@@ -19,7 +19,7 @@
 ///   - when every block of a page has been freed, the page *retires*: it
 ///     leaves its class and enters a recycle pool any class may reuse, so
 ///     a phase churning one size class hands its pages to the next phase
-///     instead of growing the footprint (heap.pagesRetired/pagesRecycled).
+///     instead of growing the footprint (Stats::PagesRetired/PagesRecycled).
 ///     The page currently heading a class's available list is exempt —
 ///     that hysteresis keeps a free/alloc ping-pong on one block from
 ///     retiring and re-priming a page per cycle;
@@ -44,7 +44,7 @@
 /// never what the ManagedHeap accounts — a property the slab-invariance
 /// test pins byte-for-byte.
 ///
-/// Stats reported (surfaced as "heap.*" through the StatsRegistry):
+/// Stats reported (read through ManagedHeap::backendStats()):
 ///   SlabAllocs     allocations served from slab storage ("slab hits")
 ///   PagesMapped    64 KiB pages requested from the system allocator
 ///   PagesRetired   pages that went fully free and left their class

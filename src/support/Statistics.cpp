@@ -8,10 +8,3 @@ void StatsRegistry::print(OStream &OS) const {
   for (const auto &[Key, Value] : Counters)
     OS << Key << " = " << Value << '\n';
 }
-
-void StatsRegistry::printPrefixed(OStream &OS,
-                                  const std::string &Prefix) const {
-  for (const auto &[Key, Value] : Counters)
-    if (Key.compare(0, Prefix.size(), Prefix) == 0)
-      OS << Key << " = " << Value << '\n';
-}

@@ -1,9 +1,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Named counters in the spirit of LLVM's Statistic class. Phases bump
-/// counters (nodes visited, trees rebuilt, hooks executed...) and benchmarks
-/// read them back to explain measured effects.
+/// Named counters in the spirit of LLVM's Statistic class. The frontend
+/// and the VM bump counters (names interned, scope probes, VM steps...)
+/// and benchmarks read them back to explain measured effects. Pipeline
+/// counters are not kept here: the driver reports them per plan group
+/// (CompileOutput::Groups).
 ///
 /// The compile service adds a two-level scheme: each worker thread owns a
 /// StatsSheaf (a locally buffered counter block) and the service merges
@@ -49,10 +51,6 @@ public:
   /// Prints "key = value" lines sorted by key.
   void print(OStream &OS) const;
 
-  /// Like print, restricted to counters whose key starts with \p Prefix
-  /// (e.g. "fusion." for the fused-traversal counters).
-  void printPrefixed(OStream &OS, const std::string &Prefix) const;
-
 private:
   std::map<std::string, uint64_t> Counters;
 };
@@ -67,13 +65,6 @@ public:
   void add(const std::string &Key, uint64_t Delta) {
     std::lock_guard<std::mutex> Lock(M);
     Local.add(Key, Delta);
-  }
-
-  /// Adds every counter of \p Registry (e.g. a finished job's context
-  /// stats) into the sheaf.
-  void merge(const StatsRegistry &Registry) {
-    std::lock_guard<std::mutex> Lock(M);
-    Local.merge(Registry);
   }
 
   /// Moves the buffered deltas into \p Out and resets the sheaf.

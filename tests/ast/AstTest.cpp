@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 using namespace mpc;
 
 namespace {
@@ -213,8 +216,20 @@ TEST(Rendering, TypeShowCoversEveryKind) {
       {T.exprType(T.classType(Box, {B})), "=> Box[B]"},
       {T.repeatedType(BoxT), "Box*"},
       {T.unionType(BoxT, CupT), "Box | Cup"},
+      // `&` binds tighter than `|`, and both associate to the left.
       {T.intersectionType(BoxT, T.unionType(CupT, T.nullType())),
+       "Box & (Cup | Null)"},
+      {T.unionType(T.intersectionType(BoxT, CupT), T.nullType()),
        "Box & Cup | Null"},
+      {T.unionType(BoxT, T.unionType(CupT, T.nullType())),
+       "Box | (Cup | Null)"},
+      {T.unionType(T.unionType(BoxT, CupT), T.nullType()),
+       "Box | Cup | Null"},
+      {T.unionType(T.functionType({BoxT}, CupT), T.nullType()),
+       "((Box) => Cup) | Null"},
+      {T.functionType({BoxT}, T.unionType(CupT, T.nullType())),
+       "(Box) => Cup | Null"},
+      {T.repeatedType(T.unionType(BoxT, CupT)), "(Box | Cup)*"},
       {A, "A"},
       {T.errorType(), "<error>"},
       {T.arrayType(T.errorType()), "Array[<error>]"},
@@ -224,6 +239,41 @@ TEST(Rendering, TypeShowCoversEveryKind) {
     std::string Appended = "prefix:";
     Ty->print(Appended);
     EXPECT_EQ(Appended, std::string("prefix:") + Want);
+  }
+}
+
+// Every type built from two or three leaves with union, intersection and
+// one-parameter function types, up to depth 3, renders to its own string:
+// show() never conflates two distinct (interned) types.
+TEST(Rendering, TypeShowIsUnambiguous) {
+  CompilerContext Comp;
+  TypeContext &T = Comp.types();
+  SymbolTable &S = Comp.syms();
+  const Type *Box = T.classType(
+      S.makeClass(Comp.names().intern("Box"), S.rootPackage(), 0));
+  for (std::vector<const Type *> Leaves :
+       {std::vector<const Type *>{Box, T.intType()},
+        std::vector<const Type *>{Box, T.intType(), T.nullType()}}) {
+    std::vector<const Type *> All = Leaves;
+    for (unsigned Depth = 1; Depth < 3; ++Depth) {
+      std::vector<const Type *> Next = All;
+      for (const Type *L : All)
+        for (const Type *R : All) {
+          Next.push_back(T.unionType(L, R));
+          Next.push_back(T.intersectionType(L, R));
+          Next.push_back(T.functionType({L}, R));
+        }
+      std::sort(Next.begin(), Next.end());
+      Next.erase(std::unique(Next.begin(), Next.end()), Next.end());
+      All = std::move(Next);
+    }
+    std::map<std::string, const Type *> Seen;
+    for (const Type *Ty : All) {
+      auto [It, Fresh] = Seen.emplace(Ty->show(), Ty);
+      EXPECT_TRUE(Fresh || It->second == Ty)
+          << "two types render as " << It->first;
+    }
+    EXPECT_EQ(Seen.size(), All.size());
   }
 }
 

@@ -25,8 +25,9 @@ namespace {
 struct LoweredRun {
   std::vector<std::string> Dumps; // exact tree dumps, one per unit
   PipelineResult Result;
-  uint64_t StatsVisited = 0;
-  uint64_t StatsPruned = 0;
+  GroupReport Sum; // whole-run totals over Result.Groups
+  /// Per fused block, plan order: counters read off the blocks.
+  std::vector<GroupReport> Blocks;
 };
 
 LoweredRun lowerWorkload(const WorkloadProfile &Profile, bool Pruning) {
@@ -45,8 +46,12 @@ LoweredRun lowerWorkload(const WorkloadProfile &Profile, bool Pruning) {
   PO.ShowTypes = true;
   for (const CompilationUnit &U : Units)
     Run.Dumps.push_back(treeToString(U.Root.get(), PO));
-  Run.StatsVisited = Comp.stats().get("fusion.nodesVisited");
-  Run.StatsPruned = Comp.stats().get("fusion.subtreesPruned");
+  Run.Sum = sumGroups(Run.Result.Groups);
+  for (FusedBlock *B : Plan.fusedBlocks()) {
+    GroupReport &E = Run.Blocks.emplace_back();
+    E.NodesVisited = B->nodesVisited();
+    E.SubtreesPruned = B->subtreesPruned();
+  }
   return Run;
 }
 
@@ -68,15 +73,20 @@ TEST_P(StandardPlanPruning, LoweredTreesAreIdentical) {
     EXPECT_EQ(On.Dumps[I], Off.Dumps[I]) << "unit " << I;
 
   // The optimization must actually fire on the standard plan...
-  EXPECT_GT(On.Result.SubtreesPruned, 0u);
-  EXPECT_LT(On.Result.NodesVisited, Off.Result.NodesVisited);
+  EXPECT_GT(On.Sum.SubtreesPruned, 0u);
+  EXPECT_LT(On.Sum.NodesVisited, Off.Sum.NodesVisited);
   // ...and never when disabled.
-  EXPECT_EQ(Off.Result.SubtreesPruned, 0u);
+  EXPECT_EQ(Off.Sum.SubtreesPruned, 0u);
   // Identical work reaches the hooks either way.
-  EXPECT_EQ(On.Result.HooksExecuted, Off.Result.HooksExecuted);
-  // The counters are also mirrored into the stats registry.
-  EXPECT_EQ(On.StatsVisited, On.Result.NodesVisited);
-  EXPECT_EQ(On.StatsPruned, On.Result.SubtreesPruned);
+  EXPECT_EQ(On.Sum.HooksExecuted, Off.Sum.HooksExecuted);
+  // The whole-run sums are the sums of the blocks' own counters.
+  uint64_t BlockVisited = 0, BlockPruned = 0;
+  for (const GroupReport &B : On.Blocks) {
+    BlockVisited += B.NodesVisited;
+    BlockPruned += B.SubtreesPruned;
+  }
+  EXPECT_EQ(On.Sum.NodesVisited, BlockVisited);
+  EXPECT_EQ(On.Sum.SubtreesPruned, BlockPruned);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workloads, StandardPlanPruning,

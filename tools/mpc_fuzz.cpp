@@ -12,8 +12,11 @@
 //   mpc_fuzz --families truncated,mixed       # subset
 //   mpc_fuzz --start 1234 --seeds 1 --dump    # reproduce one case
 //
-// Exit code 0 when every property held, 1 otherwise.
+// Exit code 0 when every property held, 1 otherwise; 2 on a bad flag.
+// Numeric values are checked (ToolFlags.h): --scale in (0, 10].
 //===----------------------------------------------------------------------===//
+
+#include "ToolFlags.h"
 
 #include "workload/Fuzzer.h"
 
@@ -24,6 +27,7 @@
 #include <vector>
 
 using namespace mpc;
+using namespace mpc::tools;
 
 namespace {
 
@@ -68,11 +72,11 @@ int main(int Argc, char **Argv) {
       return Argv[++I];
     };
     if (Arg == "--seeds") {
-      NumSeeds = std::strtoull(NextValue(), nullptr, 10);
+      NumSeeds = parseUInt("--seeds", NextValue(), 0, UINT32_MAX);
     } else if (Arg == "--start") {
-      StartSeed = std::strtoull(NextValue(), nullptr, 10);
+      StartSeed = parseUInt("--start", NextValue(), 0, UINT64_MAX);
     } else if (Arg == "--scale") {
-      Scale = std::strtod(NextValue(), nullptr);
+      Scale = parseReal("--scale", NextValue(), 0, 10, true);
     } else if (Arg == "--families") {
       Families.clear();
       std::string List = NextValue();

@@ -12,7 +12,15 @@
 // fixed open-loop arrival schedule and reports p50/p95/p99 end-to-end
 // latency plus the server-reported queue-wait split.
 //
+// Numeric values are checked (ToolFlags.h): --port 1..65535,
+// --connections 1..256, --requests up to 10^7 (the latency samples are
+// reserved up front), --variants 1..1024 (each is generated up front),
+// --scale in [0.01, 10]; a value that does not parse or is out of range
+// exits 2 before any connection opens.
+//
 //===----------------------------------------------------------------------===//
+
+#include "ToolFlags.h"
 
 #include "net/LoadGen.h"
 
@@ -22,16 +30,15 @@
 #include <string>
 
 using namespace mpc::net;
+using namespace mpc::tools;
 
 namespace {
 
-double argNum(int Argc, char **Argv, int &I, const char *Flag) {
-  if (I + 1 >= Argc) {
-    std::fprintf(stderr, "mpc_load_client: %s needs a value\n", Flag);
-    std::exit(2);
-  }
-  return std::strtod(Argv[++I], nullptr);
-}
+constexpr uint64_t MaxRequests = 10'000'000;
+constexpr uint64_t MaxVariants = 1024;
+/// Below about 0.0012, stdlibProfile asks generateWorkload for units of
+/// fewer than 20 lines, and its class loop never ends.
+constexpr double MinScale = 0.01;
 
 } // namespace
 
@@ -40,25 +47,25 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
     if (A == "--port")
-      Cfg.Port = static_cast<uint16_t>(argNum(Argc, Argv, I, "--port"));
+      Cfg.Port = static_cast<uint16_t>(
+          uintFlag(Argc, Argv, I, "--port", 1, UINT16_MAX));
     else if (A == "--rps")
-      Cfg.Rps = argNum(Argc, Argv, I, "--rps");
+      Cfg.Rps = realFlag(Argc, Argv, I, "--rps", 0, 1e6);
     else if (A == "--requests")
-      Cfg.NumRequests =
-          static_cast<uint64_t>(argNum(Argc, Argv, I, "--requests"));
+      Cfg.NumRequests = uintFlag(Argc, Argv, I, "--requests", 0, MaxRequests);
     else if (A == "--connections")
-      Cfg.Connections =
-          static_cast<unsigned>(argNum(Argc, Argv, I, "--connections"));
+      Cfg.Connections = static_cast<unsigned>(
+          uintFlag(Argc, Argv, I, "--connections", 1, MaxThreads));
     else if (A == "--seed")
-      Cfg.Seed = static_cast<uint64_t>(argNum(Argc, Argv, I, "--seed"));
+      Cfg.Seed = uintFlag(Argc, Argv, I, "--seed", 0, UINT64_MAX);
     else if (A == "--scale")
-      Cfg.SourceScale = argNum(Argc, Argv, I, "--scale");
+      Cfg.SourceScale = realFlag(Argc, Argv, I, "--scale", MinScale, 10);
     else if (A == "--variants")
-      Cfg.Variants =
-          static_cast<unsigned>(argNum(Argc, Argv, I, "--variants"));
+      Cfg.Variants = static_cast<unsigned>(
+          uintFlag(Argc, Argv, I, "--variants", 1, MaxVariants));
     else if (A == "--deadline-ms")
       Cfg.DeadlineMillis =
-          static_cast<uint64_t>(argNum(Argc, Argv, I, "--deadline-ms"));
+          uintFlag(Argc, Argv, I, "--deadline-ms", 0, UINT32_MAX);
     else {
       std::fprintf(stderr, "mpc_load_client: unknown flag '%s'\n",
                    A.c_str());

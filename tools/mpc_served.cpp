@@ -12,11 +12,18 @@
 // every admitted job (or RetryAfter), Goodbye on every connection, then
 // exit 0. The drain contract is what the tier-1 smoke test pins.
 //
+// Numeric values are checked (ToolFlags.h): --port 0..65535, --threads
+// 0..256 (0 = one per core), and a value that does not parse or is out
+// of range exits 2 before the server starts.
+//
 //===----------------------------------------------------------------------===//
+
+#include "ToolFlags.h"
 
 #include "net/Server.h"
 
 #include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +33,7 @@
 
 using namespace mpc;
 using namespace mpc::net;
+using namespace mpc::tools;
 
 namespace {
 
@@ -39,14 +47,6 @@ void onSignal(int) {
   (void)Ignored;
 }
 
-uint64_t argNum(int Argc, char **Argv, int &I, const char *Flag) {
-  if (I + 1 >= Argc) {
-    std::fprintf(stderr, "mpc_served: %s needs a value\n", Flag);
-    std::exit(2);
-  }
-  return std::strtoull(Argv[++I], nullptr, 10);
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -57,19 +57,16 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
     if (A == "--port") {
-      Cfg.Port = static_cast<uint16_t>(argNum(Argc, Argv, I, "--port"));
+      Cfg.Port = static_cast<uint16_t>(
+          uintFlag(Argc, Argv, I, "--port", 0, UINT16_MAX));
     } else if (A == "--threads") {
-      Cfg.Service.Threads =
-          static_cast<unsigned>(argNum(Argc, Argv, I, "--threads"));
+      Cfg.Service.Threads = static_cast<unsigned>(
+          uintFlag(Argc, Argv, I, "--threads", 0, MaxThreads));
     } else if (A == "--queue-depth") {
-      Cfg.Service.MaxQueueDepth =
-          static_cast<size_t>(argNum(Argc, Argv, I, "--queue-depth"));
+      Cfg.Service.MaxQueueDepth = static_cast<size_t>(
+          uintFlag(Argc, Argv, I, "--queue-depth", 0, SIZE_MAX));
     } else if (A == "--policy") {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "mpc_served: --policy needs a value\n");
-        return 2;
-      }
-      std::string P = Argv[++I];
+      std::string P = flagValue(Argc, Argv, I, "--policy");
       if (P == "reject")
         Cfg.Service.Policy = QueuePolicy::RejectNewest;
       else if (P == "shed")
@@ -80,14 +77,14 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (A == "--max-inflight") {
-      Cfg.MaxInFlightPerConn =
-          static_cast<uint32_t>(argNum(Argc, Argv, I, "--max-inflight"));
+      Cfg.MaxInFlightPerConn = static_cast<uint32_t>(
+          uintFlag(Argc, Argv, I, "--max-inflight", 1, UINT32_MAX));
     } else if (A == "--idle-timeout-ms") {
-      Cfg.IdleTimeoutMs =
-          static_cast<int>(argNum(Argc, Argv, I, "--idle-timeout-ms"));
+      Cfg.IdleTimeoutMs = static_cast<int>(
+          uintFlag(Argc, Argv, I, "--idle-timeout-ms", 0, INT_MAX));
     } else if (A == "--cache-mb") {
       Cfg.Service.Cache.MaxBytes =
-          argNum(Argc, Argv, I, "--cache-mb") * 1024 * 1024;
+          uintFlag(Argc, Argv, I, "--cache-mb", 0, SIZE_MAX >> 20) << 20;
     } else {
       std::fprintf(stderr, "mpc_served: unknown flag '%s'\n", A.c_str());
       return 2;
