@@ -210,8 +210,8 @@ void Type::print(std::string &Out) const {
 
 TypeContext::TypeContext() {
   for (size_t I = 0; I < NumPrims; ++I)
-    Prims[I] = new PrimitiveType(static_cast<PrimKind>(I));
-  ErrorTy = new ErrorType();
+    Prims[I] = SingletonArena.make<PrimitiveType>(static_cast<PrimKind>(I));
+  ErrorTy = SingletonArena.make<ErrorType>();
 }
 
 TypeContext::~TypeContext() {
@@ -220,8 +220,8 @@ TypeContext::~TypeContext() {
   for (const Type *T : Owned)
     T->~Type();
   for (const Type *P : Prims)
-    delete static_cast<const PrimitiveType *>(P);
-  delete static_cast<const ErrorType *>(ErrorTy);
+    P->~Type();
+  ErrorTy->~Type();
 }
 
 void TypeContext::reset() {

@@ -302,6 +302,17 @@ public:
   /// Number of distinct interned types (for tests / stats).
   size_t internedCount() const { return Owned.size() + NumPrims; }
 
+  /// Calls \p Fn on every distinct type of this context: the primitives,
+  /// the error type, then each type interned since construction or the
+  /// last reset(), in creation order.
+  template <typename FnT> void forEachType(FnT &&Fn) const {
+    for (const Type *P : Prims)
+      Fn(P);
+    Fn(ErrorTy);
+    for (const Type *T : Owned)
+      Fn(T);
+  }
+
   /// Empties the interner for warm context reuse: destroys every interned
   /// type (primitive singletons excepted — they carry no references into
   /// other tables and stay valid), resets the arena and key pool, and
@@ -339,6 +350,10 @@ private:
                                     // between clear() and intern())
   Arena TypeArena;
   std::vector<const Type *> Owned;
+  /// The primitives and the error type, which outlive reset(). Arena
+  /// storage, like every other type, so where they sit (and so what the
+  /// simulated cache sees) does not depend on the malloc heap's state.
+  Arena SingletonArena;
 };
 
 } // namespace mpc

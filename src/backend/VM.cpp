@@ -29,6 +29,7 @@
 #include "backend/VM.h"
 
 #include "ast/Types.h"
+#include "memsim/PagePool.h"
 
 #include <bit>
 #include <charconv>
@@ -109,32 +110,50 @@ struct VMArr {
   VMValue *elems() { return reinterpret_cast<VMValue *>(this + 1); }
 };
 
-/// Chunked bump allocator for objects and arrays. Guest programs are
-/// bounded by the step limit, so the run's allocations simply live until
-/// the VM is destroyed; no collector. Chunks are not zeroed: allocObj and
-/// allocArr write every word they hand out.
+/// Bump allocator for objects and arrays over 64 KiB pages from the
+/// process's page source, so a VM's memory goes back warm to the next VM
+/// (or compile) when it is destroyed, instead of into malloc's heap.
+/// Guest programs are bounded by the step limit, so the run's
+/// allocations simply live until the VM is destroyed; no collector.
+/// Pages are not zeroed: allocObj and allocArr write every word they
+/// hand out. Each page starts with a link to the page taken before it;
+/// an allocation larger than a page gets a block of its own.
 class VMArena {
 public:
+  VMArena() = default;
+  VMArena(const VMArena &) = delete;
+  VMArena &operator=(const VMArena &) = delete;
+  ~VMArena() {
+    while (Head) {
+      void *Prev = *static_cast<void **>(Head);
+      PagePool::global().put(Head);
+      Head = Prev;
+    }
+  }
+
   void *alloc(size_t Bytes) {
     Bytes = (Bytes + 15) & ~size_t(15);
-    if (Bytes > ChunkBytes) {
-      Chunks.push_back(std::make_unique_for_overwrite<char[]>(Bytes));
-      Used = ChunkBytes; // mark the oversized chunk full
-      return Chunks.back().get();
+    if (Bytes > PageBytes - LinkBytes) {
+      Oversized.push_back(std::make_unique_for_overwrite<char[]>(Bytes));
+      return Oversized.back().get();
     }
-    if (Used + Bytes > ChunkBytes) {
-      Chunks.push_back(std::make_unique_for_overwrite<char[]>(ChunkBytes));
-      Used = 0;
+    if (Used + Bytes > PageBytes) {
+      void *Page = PagePool::global().take().Page;
+      *static_cast<void **>(Page) = Head;
+      Head = Page;
+      Used = LinkBytes;
     }
-    void *P = Chunks.back().get() + Used;
+    void *P = static_cast<char *>(Head) + Used;
     Used += Bytes;
     return P;
   }
 
 private:
-  static constexpr size_t ChunkBytes = 1 << 20;
-  std::vector<std::unique_ptr<char[]>> Chunks;
-  size_t Used = ChunkBytes;
+  static constexpr size_t PageBytes = PagePool::PageBytes;
+  static constexpr size_t LinkBytes = 16; // keeps blocks 16-byte aligned
+  void *Head = nullptr;
+  std::vector<std::unique_ptr<char[]>> Oversized;
+  size_t Used = PageBytes;
 };
 
 VMValue vBool(bool B) { return VMValue(VMValue::Bool, B); }

@@ -140,8 +140,10 @@ public:
   /// Warm-reuse reset (the compile service's ContextPool lifecycle):
   /// restores the context to the observable state of a freshly
   /// constructed one in O(live) — live symbols/types are dropped and the
-  /// builtin world is rebuilt, while table capacities, arena slabs, and
-  /// (via the shared PagePool) slab pages are retained for the next job.
+  /// builtin world is rebuilt, while table capacities and arena slabs
+  /// are retained for the next job. Slab pages go back to the process's
+  /// page source (PagePool::global()), which keeps them warm for
+  /// whichever heap takes a page next.
   /// Precondition: no tree allocated from this context is still
   /// referenced (drop the CompileOutput first); asserted via the heap's
   /// live-byte accounting. Name ordinals, symbol ids, file ids, and the

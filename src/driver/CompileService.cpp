@@ -1,5 +1,6 @@
 #include "driver/CompileService.h"
 
+#include "memsim/PagePool.h"
 #include "support/Timer.h"
 
 #include <map>
@@ -26,15 +27,12 @@ ContextPool::acquire(const CompilerOptions &Opts, bool &Reused) {
     }
   }
   Reused = false;
-  auto Comp = std::make_unique<CompilerContext>(Opts);
-  if (Pages)
-    Comp->heap().setPagePool(Pages);
-  return Comp;
+  return std::make_unique<CompilerContext>(Opts);
 }
 
 void ContextPool::recycle(std::unique_ptr<CompilerContext> Comp) {
-  // Reset eagerly (outside the lock): pages flow back into the shared
-  // pool right away, where a concurrently running job can pick them up.
+  // Reset eagerly (outside the lock): pages flow back to the page source
+  // right away, where a concurrently running job can pick them up.
   Comp->reset();
   std::lock_guard<std::mutex> Lock(M);
   Free.push_back(std::move(Comp));
@@ -91,10 +89,9 @@ private:
 
 CompileService::CompileService(ServiceConfig Config)
     : Cfg(std::move(Config)),
-      Pages(Cfg.WarmContexts ? std::make_unique<PagePool>() : nullptr),
       Cache(Cfg.Cache.Enabled ? std::make_unique<ArtifactCache>(Cfg.Cache)
                               : nullptr),
-      Contexts(Pages.get()), StartedAt(std::chrono::steady_clock::now()) {
+      StartedAt(std::chrono::steady_clock::now()) {
   if (!Cfg.OnResult) {
     InOrder = std::make_unique<ReorderBuffer>();
     Cfg.OnResult = [Buf = InOrder.get()](uint64_t Id, BatchResult R) {
@@ -318,7 +315,7 @@ void CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf,
       Cfg.WarmContexts ? Contexts.acquire(Job.Options, Reused)
                        : std::make_unique<CompilerContext>(Job.Options);
   const SlabAllocator::Stats &Backend = Comp->heap().backendStats();
-  uint64_t PagesFromPool0 = Backend.PagesFromPool;
+  uint64_t PagesWarm0 = Backend.PagesWarm;
   uint64_t PagesMapped0 = Backend.PagesMapped;
 
   BatchResult R = runBatchJob(std::move(Job), *Comp);
@@ -340,15 +337,15 @@ void CompileService::runJob(BatchJob Job, StatsSheaf &Sheaf,
     Sheaf.add("service.jobsDeadlineExceeded", 1);
   else if (Status == JobStatus::Faulted)
     Sheaf.add("service.jobsFaulted", 1);
-  Sheaf.add("service.pagesShared", Backend.PagesFromPool - PagesFromPool0);
+  Sheaf.add("service.pagesShared", Backend.PagesWarm - PagesWarm0);
   Sheaf.add("service.pagesMapped", Backend.PagesMapped - PagesMapped0);
 
   if (Status == JobStatus::Faulted) {
     // Fault containment: the exception's throw site is unknown (it may
     // have split an allocation from its accounting), so the shell counts
-    // as poisoned. Destroying it frees its pages wholesale — through the
-    // shared pool when attached — without reset()'s clean-heap
-    // precondition; the pool simply builds a fresh shell next time. A
+    // as poisoned. Destroying it gives its pages back to the page source
+    // wholesale, without reset()'s clean-heap precondition; the context
+    // pool simply builds a fresh shell next time. A
     // DeadlineExceeded unwind, by contrast, only ever crosses RAII tree
     // holders, so that shell recycles normally.
     Comp.reset();
@@ -417,7 +414,7 @@ std::vector<BatchResult> CompileService::drain() {
     Stats.counter("service.cacheEvictions") = CS.Evictions;
     Stats.counter("service.cacheIntegrityRejects") = CS.IntegrityRejects;
   }
-  if (Pages)
-    Stats.counter("heap.pagesTrimmed") = Pages->stats().PagesTrimmed;
+  Stats.counter("heap.pagesTrimmed") =
+      PagePool::global().stats().PagesTrimmed;
   return Results;
 }

@@ -29,15 +29,17 @@
 ///   2. Warm contexts. A ContextPool recycles CompilerContext shells
 ///      between jobs: CompilerContext::reset() restores name table, type
 ///      interner, symbol world, and heap in O(live) — keeping table
-///      capacities, arena slabs, and (via the shared PagePool) mapped
-///      slab pages — instead of reconstructing everything cold. Name
+///      capacities and arena slabs — instead of reconstructing everything
+///      cold. Slab pages go back to the process's one page source
+///      (PagePool::global()), which hands them out warm to the next job
+///      on any worker, and to every other heap in the process. Name
 ///      ordinals, symbol ids, and the allocation clock restart exactly as
 ///      in a cold context, so a warm run's output is byte-identical to a
 ///      cold run's (pinned by CompileServiceTest).
 ///
 ///   3. Per-worker stats sheaves. Workers record their counters
-///      (jobs completed, contexts reused, pages obtained from the shared
-///      pool, busy time) in private StatsSheaf blocks; drain() merges the
+///      (jobs completed, contexts reused, pages taken warm from the page
+///      source, busy time) in private StatsSheaf blocks; drain() merges the
 ///      sheaves into the service's StatsRegistry and derives
 ///      service.workerUtilization — no shared counter is touched on the
 ///      per-job path.
@@ -77,7 +79,6 @@
 
 #include "driver/ArtifactCache.h"
 #include "driver/Batch.h"
-#include "memsim/PagePool.h"
 #include "support/Statistics.h"
 
 #include <chrono>
@@ -95,12 +96,10 @@ namespace mpc {
 /// Mutex-guarded free list of reset CompilerContext shells. acquire()
 /// prefers a warm shell (already reset; just adopts the job's options)
 /// and falls back to constructing one; recycle() resets the shell and
-/// returns it. Every context the pool creates is attached to \p Pages
-/// when non-null, so slab pages flow between shells through the shared
-/// PagePool.
+/// returns it.
 class ContextPool {
 public:
-  explicit ContextPool(PagePool *Pages = nullptr) : Pages(Pages) {}
+  ContextPool() = default;
   ContextPool(const ContextPool &) = delete;
   ContextPool &operator=(const ContextPool &) = delete;
 
@@ -109,7 +108,7 @@ public:
   std::unique_ptr<CompilerContext> acquire(const CompilerOptions &Opts,
                                            bool &Reused);
 
-  /// Resets \p Comp (releasing its pages into the shared pool) and parks
+  /// Resets \p Comp (giving its pages back to the page source) and parks
   /// the shell for the next acquire. Precondition: nothing references
   /// the context's trees anymore.
   void recycle(std::unique_ptr<CompilerContext> Comp);
@@ -120,7 +119,6 @@ public:
 private:
   mutable std::mutex M;
   std::vector<std::unique_ptr<CompilerContext>> Free;
-  PagePool *Pages;
 };
 
 /// What the service does when a job arrives at a full queue
@@ -161,9 +159,9 @@ struct ServiceConfig {
   /// What to do with arrivals at a full queue (no effect while unbounded).
   QueuePolicy Policy = QueuePolicy::RejectNewest;
   /// Warm contexts: recycle CompilerContext shells between jobs through
-  /// the ContextPool, with a service-owned PagePool shared by all shells
-  /// so slab pages mapped by one job serve the next. Off: every job gets
-  /// a fresh context with private pages (the cold baseline).
+  /// the ContextPool. Off: every job gets a fresh context (the cold
+  /// baseline). Slab pages come warm from the process's page source
+  /// either way.
   bool WarmContexts = true;
   /// Artifact-cache policy: consult-before-compile with LRU-bounded
   /// storage.
@@ -243,15 +241,16 @@ public:
   /// service.cacheBytes, stored bytes, and service.cacheRawBytes, the
   /// uncompressed payload they hold), the admission/robustness counters
   /// (service.jobsRejected, jobsShed, jobsDeadlineExceeded, jobsFaulted,
-  /// contextsDiscarded, queueDepthPeak), and heap.pagesTrimmed (the
-  /// shared page pool's trim count, WarmContexts only). Only service-level
+  /// contextsDiscarded, queueDepthPeak), service.pagesMapped (pages the
+  /// jobs' heaps took from the page source), and heap.pagesTrimmed (the
+  /// pages the process-wide page source has unmapped, a gauge read at
+  /// drain(): it counts every heap in the process, not only this
+  /// service's). service.pagesShared counts the pages of
+  /// service.pagesMapped that came warm. Only service-level
   /// counters live here: a job's compile report travels in its result
   /// (BatchResult::Timings, BatchResult::Heap), and the per-job context
   /// counters are not aggregated. Stable between drain() calls.
   StatsRegistry &stats() { return Stats; }
-
-  /// The shared page pool (WarmContexts), or null.
-  PagePool *pagePool() { return Pages.get(); }
 
   /// The artifact cache in effect, or null (cache disabled).
   ArtifactCache *artifactCache() { return Cache.get(); }
@@ -298,9 +297,7 @@ private:
   /// Set when Cfg.OnResult was not supplied; Cfg.OnResult then feeds it.
   std::unique_ptr<ReorderBuffer> InOrder;
   // Destruction order matters: workers join first (declared last), then
-  // the context pool drops its shells, then Pages frees pages the shells
-  // released into it.
-  std::unique_ptr<PagePool> Pages;
+  // the context pool drops its shells.
   std::unique_ptr<ArtifactCache> Cache;
   ContextPool Contexts;
 

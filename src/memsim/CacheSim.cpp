@@ -69,11 +69,26 @@ CacheSim::CacheSim()
     : L1D({64, 8, LineBytes}), L1I({64, 8, LineBytes}),
       L2({512, 8, LineBytes}), L3({16384, 20, LineBytes}) {}
 
+uint64_t CacheSim::renameLine(uint64_t Line) {
+  uint64_t Region = Line / RegionLines;
+  if (Region != LastRegion) {
+    std::unique_ptr<uint32_t[]> &Table = Regions[Region];
+    if (!Table)
+      Table = std::make_unique<uint32_t[]>(RegionLines); // all untouched
+    LastRegion = Region;
+    LastTable = Table.get();
+  }
+  uint32_t &Ordinal = LastTable[Line % RegionLines];
+  if (!Ordinal)
+    Ordinal = ++LinesTouched;
+  return Ordinal - 1;
+}
+
 void CacheSim::access(uint64_t Addr, uint32_t Bytes, AccessKind Kind) {
   uint64_t FirstLine = Addr / LineBytes;
   uint64_t LastLine = (Addr + (Bytes ? Bytes - 1 : 0)) / LineBytes;
   for (uint64_t Line = FirstLine; Line <= LastLine; ++Line)
-    accessLine(Line, Kind);
+    accessLine(renameLine(Line), Kind);
 }
 
 void CacheSim::accessLine(uint64_t LineAddr, AccessKind Kind) {

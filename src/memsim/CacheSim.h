@@ -10,6 +10,13 @@
 /// The simulator consumes the real address stream of the real traversals
 /// (tree node addresses from the allocator), so locality differences between
 /// fused and unfused pipelines arise from the same mechanism as on hardware.
+/// Before lookup each line is renamed to its ordinal in first-touch order.
+/// Which accesses share a line, and every reuse, are unchanged, but the
+/// set a line falls in no longer depends on where the kernel and malloc
+/// placed memory in this run: two identical runs read identical counters,
+/// in one process or in two. (Which lines an access spans still follows
+/// the address's offset inside its line; the heap's slab pages and the
+/// arenas keep those offsets deterministic.)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +25,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
 namespace mpc {
@@ -108,9 +117,19 @@ private:
 
   void access(uint64_t Addr, uint32_t Bytes, AccessKind Kind);
   void accessLine(uint64_t LineAddr, AccessKind Kind);
+  /// The first-touch ordinal of real line \p Line (see the file comment).
+  uint64_t renameLine(uint64_t Line);
 
   CacheLevel L1D, L1I, L2, L3;
   CacheCounters Counters;
+  /// Line renaming: one table per RegionLines-line region of real lines,
+  /// holding ordinal + 1 per line (0 = not touched yet), plus a one-entry
+  /// cache of the last region used.
+  static constexpr uint64_t RegionLines = 1024;
+  std::unordered_map<uint64_t, std::unique_ptr<uint32_t[]>> Regions;
+  uint64_t LastRegion = ~0ull;
+  uint32_t *LastTable = nullptr;
+  uint32_t LinesTouched = 0;
 };
 
 } // namespace mpc

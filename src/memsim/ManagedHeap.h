@@ -19,11 +19,12 @@
 /// Real storage vs. simulated clock: the accounting above is what the
 /// Figure 5/6 benchmarks read, and it is computed purely from the charged
 /// byte counts — it never observes addresses. The *real* storage behind
-/// each allocation is served by a size-class SlabAllocator (pool pages +
-/// per-class free lists), cutting system-allocator traffic from one call
-/// per node to one call per 64 KiB page. CompilerOptions::SlabHeap toggles
-/// the backend; the simulated statistics are byte-identical either way
-/// (asserted by the slab-invariance test).
+/// each allocation is served by a size-class SlabAllocator (64 KiB pages
+/// from the process's page source + per-class free lists), cutting
+/// allocator traffic from one call per node to one call per page.
+/// CompilerOptions::SlabHeap toggles the backend; the simulated
+/// statistics are byte-identical either way (asserted by the
+/// slab-invariance test).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -135,15 +136,10 @@ public:
   void setSlabEnabled(bool E) { Slab.setEnabled(E); }
   bool slabEnabled() const { return Slab.enabled(); }
 
-  /// Attaches the cross-context shared page pool (see PagePool.h). Only
-  /// legal while the slab holds no pages.
-  void setPagePool(PagePool *Pool) { Slab.setPagePool(Pool); }
-  PagePool *pagePool() const { return Slab.pagePool(); }
-
-  /// Warm-reuse reset: returns every slab page (to the shared pool when
-  /// attached), clears the simulated statistics and the allocation
-  /// clock. The caller guarantees no object allocated from this heap is
-  /// still referenced. Generational geometry is preserved.
+  /// Warm-reuse reset: gives every slab page back to the page source,
+  /// clears the simulated statistics and the allocation clock. The
+  /// caller guarantees no object allocated from this heap is still
+  /// referenced. Generational geometry is preserved.
   void reset() {
     Slab.releaseAll();
     resetStats();

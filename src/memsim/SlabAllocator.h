@@ -17,42 +17,37 @@
 ///     room); full pages drop off the list and rejoin it on the first
 ///     free back into them;
 ///   - when every block of a page has been freed, the page *retires*: it
-///     leaves its class and enters a recycle pool any class may reuse, so
-///     a phase churning one size class hands its pages to the next phase
-///     instead of growing the footprint (Stats::PagesRetired/PagesRecycled).
-///     The page currently heading a class's available list is exempt —
-///     that hysteresis keeps a free/alloc ping-pong on one block from
-///     retiring and re-priming a page per cycle;
+///     leaves its class and goes back to the page source, where any class
+///     of any heap (or a VM arena) may reuse it, so a phase churning one
+///     size class hands its pages to the next phase instead of growing
+///     the footprint (Stats::PagesRetired). The page currently heading a
+///     class's available list is exempt — that hysteresis keeps a
+///     free/alloc ping-pong on one block from retiring and re-priming a
+///     page per cycle;
 ///   - oversize requests fall back to the system allocator.
 ///
-/// The recycle pool exists at two scopes. By default it is allocator-local
-/// (a retired page serves this allocator's next takePage). Attaching a
-/// PagePool (setPagePool) lifts it process-wide: retired pages transfer to
-/// the shared, mutex-guarded pool and takePage pulls from it, so pages
-/// mapped while compiling one job serve the next job in a *different*
-/// context — the CompileService's warm-page path. Ownership follows the
-/// page: the allocator tracks the pages it currently holds on an intrusive
-/// list threaded through the page headers and, at destruction or
-/// releaseAll(), frees them (no shared pool) or returns them to the shared
-/// pool (which then owns them). The allocator itself stays single-threaded;
-/// only the PagePool handoff is synchronized.
+/// Pages come from a PagePool, by default PagePool::global(), the
+/// process's one page source (see PagePool.h). The allocator tracks the
+/// pages it holds on an intrusive list threaded through the page headers
+/// and, at destruction or releaseAll(), gives them all back to the
+/// source, which keeps them warm for the next heap up to its cap. The
+/// allocator itself is single-threaded; only the source is shared.
 ///
-/// Steady-state compilation touches the system allocator once per 64 KiB,
-/// and an idle class's emptied pages are reusable everywhere. The backend
-/// is deliberately invisible to the simulated figures: switching it off
-/// (CompilerOptions::SlabHeap = false) changes only where bytes live,
-/// never what the ManagedHeap accounts — a property the slab-invariance
-/// test pins byte-for-byte.
+/// Steady-state compilation leaves the allocator once per 64 KiB. The
+/// backend is deliberately invisible to the simulated figures: switching
+/// it off (CompilerOptions::SlabHeap = false) changes only where bytes
+/// live, never what the ManagedHeap accounts — a property the
+/// slab-invariance test pins byte-for-byte.
 ///
 /// Stats reported (read through ManagedHeap::backendStats()):
 ///   SlabAllocs     allocations served from slab storage ("slab hits")
-///   PagesMapped    64 KiB pages requested from the system allocator
-///   PagesRetired   pages that went fully free and left their class
-///   PagesRecycled  retired pages put back into service (either pool)
-///   PagesToPool    pages handed to the shared PagePool
-///   PagesFromPool  pages obtained from the shared PagePool
+///   SlabFrees      slab blocks freed
+///   PagesMapped    64 KiB pages this heap took from the page source
+///   PagesWarm      of those, pages the source handed out warm (reused)
+///   PagesRetired   pages that went fully free and went back mid-run
 ///   FallbackAllocs oversize allocations passed to the system allocator
-///   SystemCalls    total system-allocator calls ("real" allocations)
+///   SystemCalls    calls out of the slab: pages taken plus every
+///                  allocation passed to the system allocator
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +62,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <vector>
 
 namespace mpc {
 
@@ -79,24 +73,25 @@ public:
   static constexpr size_t GranuleBytes = 16;
   /// Largest slab-served request; bigger ones use the system allocator.
   static constexpr size_t MaxSmallBytes = 512;
-  /// Bytes requested from the system per slab page (page-aligned, so a
-  /// block's page header is found by masking the block address).
-  static constexpr size_t PageBytes = 64 * 1024;
+  /// Bytes per slab page (page-aligned, so a block's page header is
+  /// found by masking the block address).
+  static constexpr size_t PageBytes = PagePool::PageBytes;
 
   /// Backend counters (real storage only — never the simulated clock).
   struct Stats {
     uint64_t SlabAllocs = 0;
     uint64_t SlabFrees = 0;
     uint64_t PagesMapped = 0;
+    uint64_t PagesWarm = 0;
     uint64_t PagesRetired = 0;
-    uint64_t PagesRecycled = 0;
-    uint64_t PagesToPool = 0;
-    uint64_t PagesFromPool = 0;
     uint64_t FallbackAllocs = 0;
     uint64_t SystemCalls = 0;
   };
 
-  explicit SlabAllocator(bool Enabled = true) : Enabled(Enabled) {}
+  /// A heap drawing its pages from \p Source, which must outlive it.
+  explicit SlabAllocator(bool Enabled = true,
+                         PagePool &Source = PagePool::global())
+      : Source(Source), Enabled(Enabled) {}
   SlabAllocator(const SlabAllocator &) = delete;
   SlabAllocator &operator=(const SlabAllocator &) = delete;
   ~SlabAllocator() { releaseAll(); }
@@ -108,15 +103,6 @@ public:
     Enabled = E;
   }
   bool enabled() const { return Enabled; }
-
-  /// Attaches the shared page pool (null detaches). Only legal while the
-  /// allocator holds no pages, so every held page has one unambiguous
-  /// release destination.
-  void setPagePool(PagePool *Pool) {
-    assert(!HeldHead && "page-pool switch while pages are held");
-    Shared = Pool;
-  }
-  PagePool *pagePool() const { return Shared; }
 
   void *allocate(size_t Size) {
     ++TotalAllocs;
@@ -171,25 +157,18 @@ public:
     }
   }
 
-  /// Returns every page this allocator holds — the context-recycling
-  /// "everything is dead now" path, where remaining live blocks die with
-  /// their pages. Pages go back to the shared pool when one is attached,
-  /// otherwise to the system. Afterwards the allocator is as fresh as a
-  /// newly constructed one (cumulative stats excepted), so setEnabled /
-  /// setPagePool become legal again. O(pages held).
+  /// Gives every page this allocator holds back to the page source —
+  /// the context-recycling "everything is dead now" path, where remaining
+  /// live blocks die with their pages. Afterwards the allocator is as
+  /// fresh as a newly constructed one (cumulative stats excepted), so
+  /// setEnabled becomes legal again. O(pages held).
   void releaseAll() {
     for (PageHeader *P = HeldHead; P;) {
       PageHeader *Next = P->OwnNext;
-      if (Shared) {
-        ++S.PagesToPool;
-        Shared->put(P);
-      } else {
-        std::free(P);
-      }
+      Source.put(P);
       P = Next;
     }
     HeldHead = nullptr;
-    LocalPool.clear();
     for (unsigned C = 0; C < NumClasses; ++C)
       Avail[C] = nullptr;
     TotalAllocs = 0;
@@ -289,47 +268,27 @@ private:
     P->OwnPrev = P->OwnNext = nullptr;
   }
 
-  /// Fully-free page leaves its class for the recycle pool: the shared
-  /// PagePool when attached (ownership transfers), else the local pool
-  /// (page stays held).
+  /// Fully-free page leaves its class and goes back to the page source.
   void retire(PageHeader *P) {
     unlinkAvail(P);
+    unlinkHeld(P);
     ++S.PagesRetired;
-    if (Shared) {
-      unlinkHeld(P);
-      ++S.PagesToPool;
-      Shared->put(P);
-    } else {
-      LocalPool.push_back(P);
-    }
+    Source.put(P);
   }
 
   PageHeader *takePage(unsigned C) {
-    // Fault point sits above the pool lookups so its firing frequency does
-    // not depend on pool warmth — an injected exhaustion hits warm and
-    // cold page paths alike.
+    // Fault point sits above the source so its firing frequency does not
+    // depend on the source's warmth — an injected exhaustion hits warm
+    // and fresh pages alike.
     if (FaultInjector *FI = activeFaultInjector())
       if (FI->failPageAlloc())
         throw std::bad_alloc();
-    void *Mem = nullptr;
-    bool WasHeld = false;
-    if (!LocalPool.empty()) {
-      Mem = LocalPool.back();
-      LocalPool.pop_back();
-      ++S.PagesRecycled;
-      WasHeld = true;
-    } else if (Shared && (Mem = Shared->take())) {
-      ++S.PagesRecycled;
-      ++S.PagesFromPool;
-    } else {
-      Mem = std::aligned_alloc(PageBytes, PageBytes);
-      ++S.PagesMapped;
-      ++S.SystemCalls;
-    }
-    auto *P = static_cast<PageHeader *>(Mem);
-    if (WasHeld)
-      unlinkHeld(P); // header re-init below would wipe the links
-    P = new (Mem) PageHeader();
+    PagePool::Taken T = Source.take();
+    ++S.PagesMapped;
+    ++S.SystemCalls;
+    if (T.Warm)
+      ++S.PagesWarm;
+    auto *P = new (T.Page) PageHeader();
     P->ClassIdx = C;
     linkHeld(P);
     linkAvailFront(P);
@@ -338,9 +297,7 @@ private:
 
   PageHeader *Avail[NumClasses] = {}; // pages with a free block / carve room
   PageHeader *HeldHead = nullptr;     // every page we own (teardown/release)
-  std::vector<void *> LocalPool;      // retired pages awaiting reuse (no
-                                      // shared pool attached)
-  PagePool *Shared = nullptr;
+  PagePool &Source;
   bool Enabled;
   uint64_t TotalAllocs = 0;
   Stats S;

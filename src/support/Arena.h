@@ -93,26 +93,38 @@ public:
     if (Largest != 0)
       Slabs.front() = std::move(Slabs[Largest]);
     Slabs.resize(1);
-    Cur = Slabs.front().Mem.get();
-    End = Cur + Slabs.front().Size;
+    startSlab(Slabs.front());
     TotalUsed = 0;
   }
 
 private:
+  struct SlabRec {
+    std::unique_ptr<char[]> Mem;
+    size_t Size;
+  };
+  static constexpr uintptr_t LineBytes = 64;
+
+  /// Slabs are not zero-filled (every caller writes what it allocates
+  /// before reading it). Each starts on a LineBytes boundary, so the
+  /// layout inside a slab, down to which objects share a cache line, does
+  /// not depend on where malloc put the slab; the simulated cache reads
+  /// type objects from here.
   void growSlab(size_t AtLeast) {
     size_t Size = NextSlabSize;
     if (Size < AtLeast)
       Size = AtLeast * 2;
     NextSlabSize = NextSlabSize * 2;
-    Slabs.push_back({std::make_unique<char[]>(Size), Size});
-    Cur = Slabs.back().Mem.get();
-    End = Cur + Size;
+    Slabs.push_back(
+        {std::make_unique_for_overwrite<char[]>(Size + LineBytes - 1), Size});
+    startSlab(Slabs.back());
   }
 
-  struct SlabRec {
-    std::unique_ptr<char[]> Mem;
-    size_t Size;
-  };
+  void startSlab(const SlabRec &S) {
+    uintptr_t P = reinterpret_cast<uintptr_t>(S.Mem.get());
+    Cur = reinterpret_cast<char *>((P + LineBytes - 1) & ~(LineBytes - 1));
+    End = Cur + S.Size;
+  }
+
   std::vector<SlabRec> Slabs;
   char *Cur = nullptr;
   char *End = nullptr;

@@ -13,9 +13,9 @@
 ///                      page fails with std::bad_alloc;
 ///   - SlabFallbackAlloc the oversize/system path of
 ///                      SlabAllocator::allocate fails with std::bad_alloc;
-///   - PagePoolTake     PagePool::take reports an empty pool even when
-///                      pages are available (exercises the fresh-mapping
-///                      path under page-sharing);
+///   - PagePoolTake     PagePool::take skips its warm list and hands out
+///                      a fresh page even when warm ones are available
+///                      (exercises the fresh-mapping path);
 ///   - FrontendEntry    the per-source frontend loop;
 ///   - PhaseEntry       the transformation pipeline, once per phase group
 ///                      per unit;
@@ -91,7 +91,7 @@ struct FaultConfig {
   /// SlabFallbackAlloc: probability an oversize/system-path allocation
   /// throws bad_alloc.
   double FallbackAllocFailRate = 0;
-  /// PagePoolTake: probability a shared-pool take reports "empty".
+  /// PagePoolTake: probability a page-source take skips the warm list.
   double PoolTakeMissRate = 0;
   /// FrontendEntry/PhaseEntry: probability of throwing InjectedFault.
   double StageThrowRate = 0;
@@ -139,7 +139,7 @@ public:
     return Fire;
   }
 
-  /// PagePool::take fault point; true = pretend the pool is empty.
+  /// PagePool::take fault point; true = hand out a fresh page.
   bool missPoolTake() {
     bool Fire = decide(FaultSite::PagePoolTake, Cfg.PoolTakeMissRate);
     if (Fire)

@@ -1,11 +1,13 @@
 #include "workload/Fuzzer.h"
 
+#include "ast/Symbols.h"
 #include "backend/Interpreter.h"
 #include "backend/Linker.h"
 #include "backend/VM.h"
 #include "driver/Driver.h"
 
 #include <exception>
+#include <unordered_map>
 
 using namespace mpc;
 
@@ -51,6 +53,88 @@ std::string diffEngines(const ExecResult &Oracle, const ExecResult &Vm) {
   return D;
 }
 
+/// \p T spelled without ambiguity: a kind tag, then its parts, each
+/// list bracketed. Symbols appear by name, so two types share a key only
+/// when they differ in nothing but which same-named symbol they name.
+void structureKey(const Type *T, std::string &Out) {
+  Out += char('a' + static_cast<unsigned>(T->kind()));
+  auto List = [&](const std::vector<const Type *> &Ts) {
+    Out += '(';
+    for (const Type *E : Ts) {
+      structureKey(E, Out);
+      Out += ',';
+    }
+    Out += ')';
+  };
+  auto Named = [&](const Symbol *S) {
+    Out += S->name().text();
+    Out += ';';
+  };
+  switch (T->kind()) {
+  case TypeKind::Primitive:
+    Out += char('0' + static_cast<unsigned>(cast<PrimitiveType>(T)->prim()));
+    return;
+  case TypeKind::Class:
+    Named(cast<ClassType>(T)->cls());
+    List(cast<ClassType>(T)->args());
+    return;
+  case TypeKind::Array:
+    structureKey(cast<ArrayType>(T)->elem(), Out);
+    return;
+  case TypeKind::Method:
+    List(cast<MethodType>(T)->params());
+    structureKey(cast<MethodType>(T)->result(), Out);
+    return;
+  case TypeKind::Poly:
+    Out += '[';
+    for (const Symbol *P : cast<PolyType>(T)->typeParams())
+      Named(P);
+    Out += ']';
+    structureKey(cast<PolyType>(T)->underlying(), Out);
+    return;
+  case TypeKind::Function:
+    List(cast<FunctionType>(T)->params());
+    structureKey(cast<FunctionType>(T)->result(), Out);
+    return;
+  case TypeKind::Expr:
+    structureKey(cast<ExprType>(T)->result(), Out);
+    return;
+  case TypeKind::Repeated:
+    structureKey(cast<RepeatedType>(T)->elem(), Out);
+    return;
+  case TypeKind::Union:
+    List({cast<UnionType>(T)->left(), cast<UnionType>(T)->right()});
+    return;
+  case TypeKind::Intersection:
+    List({cast<IntersectionType>(T)->left(),
+          cast<IntersectionType>(T)->right()});
+    return;
+  case TypeKind::TypeParam:
+    Named(cast<TypeParamRef>(T)->param());
+    return;
+  case TypeKind::Error:
+    return;
+  }
+}
+
+/// One line per rendering that two interned types of \p Types share
+/// while differing in structure, or empty when the rendering keeps every
+/// structure apart. Types that differ only in which same-named symbol
+/// they name (the builtins' asInstanceOf and newArray each have a type
+/// parameter T) render alike by design, as they read in source.
+std::string renderCollisions(const TypeContext &Types) {
+  std::unordered_map<std::string, std::string> KeyOf; // rendering -> key
+  std::string Out;
+  Types.forEachType([&](const Type *T) {
+    std::string Key;
+    structureKey(T, Key);
+    auto [It, New] = KeyOf.try_emplace(T->show(), Key);
+    if (!New && It->second != Key)
+      Out += "'" + It->first + "' renders two types of different shape\n";
+  });
+  return Out;
+}
+
 } // namespace
 
 FuzzOutcome mpc::runPipelineOnce(CompilerContext &Comp,
@@ -67,6 +151,8 @@ FuzzOutcome mpc::runPipelineOnce(CompilerContext &Comp,
     O.DiagText = renderDiags(Comp.diags());
     for (const CheckFailure &F : Out.CheckFailures)
       O.CheckText += F.PhaseName + ": " + F.Message + "\n";
+    if (!O.HasErrors)
+      O.RenderText = renderCollisions(Comp.types());
     if (!O.HasErrors && !Out.EntryPoints.empty()) {
       // The tree-walker is the oracle; the linked VM must match it.
       Interpreter I(Comp, Out.Units);
@@ -128,6 +214,9 @@ std::string diffOutcomes(const FuzzOutcome &A, const FuzzOutcome &B) {
   if (A.CheckText != B.CheckText)
     D += "tree-checker findings differ:\n--- first\n" + A.CheckText +
          "--- second\n" + B.CheckText;
+  if (A.RenderText != B.RenderText)
+    D += "type-rendering collisions differ:\n--- first\n" + A.RenderText +
+         "--- second\n" + B.RenderText;
   if (A.VerifyText != B.VerifyText || A.RanVM != B.RanVM ||
       A.VmDiff != B.VmDiff)
     D += "vm outcome differs; ";
@@ -163,6 +252,9 @@ FuzzOutcome mpc::runFuzzCase(CompilerContext &WarmComp, const FuzzCase &C,
   if (!Cold.VmDiff.empty())
     Stats.Violations.push_back(
         {C, "vm-mismatch", caseLabel(C) + ": " + Cold.VmDiff});
+  if (!Cold.RenderText.empty())
+    Stats.Violations.push_back(
+        {C, "render-collision", caseLabel(C) + ":\n" + Cold.RenderText});
 
   if (familyIsValid(C.F)) {
     if (Cold.HasErrors)

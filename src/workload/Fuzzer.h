@@ -16,8 +16,11 @@
 ///      context (including right after an error-laden job) is
 ///      byte-identical to a cold context;
 ///   4. the compiler's own invariants hold — the TreeChecker finds
-///      nothing, the verifier accepts every generated method, and the VM
-///      matches the tree-walker byte for byte.
+///      nothing, the verifier accepts every generated method, the VM
+///      matches the tree-walker byte for byte, and after a clean compile
+///      distinct interned types render to distinct strings (the typed
+///      dumps every differential test compares are only as faithful as
+///      that rendering).
 ///
 /// Every case is reproducible from (family, seed, scale) alone; a failure
 /// report names all three.
@@ -55,13 +58,15 @@ struct FuzzOutcome {
   std::string VerifyText; // verifier findings from linkProgram
   bool RanVM = false;     // the linked program ran in the VM
   std::string VmDiff;     // how the VM differed from the tree-walker
+  std::string RenderText; // renderings shared by distinct types (clean)
 
   bool operator==(const FuzzOutcome &O) const {
     return Crashed == O.Crashed && HasErrors == O.HasErrors &&
            DiagText == O.DiagText && Output == O.Output &&
            Uncaught == O.Uncaught && Error == O.Error &&
            CheckText == O.CheckText && VerifyText == O.VerifyText &&
-           RanVM == O.RanVM && VmDiff == O.VmDiff;
+           RanVM == O.RanVM && VmDiff == O.VmDiff &&
+           RenderText == O.RenderText;
   }
 };
 
@@ -70,7 +75,8 @@ struct FuzzViolation {
   FuzzCase Case;
   std::string Kind; // "crash" | "valid-family-rejected" |
                     // "nondeterministic" | "warm-cold-mismatch" |
-                    // "check-failed" | "verify-rejected" | "vm-mismatch"
+                    // "check-failed" | "verify-rejected" | "vm-mismatch" |
+                    // "render-collision"
   std::string Detail;
 };
 
@@ -91,7 +97,8 @@ struct FuzzStats {
 std::string renderDiags(const DiagnosticEngine &Diags);
 
 /// Compiles \p Sources on \p Comp with the standard fused pipeline and
-/// the TreeChecker on and, when the compile is clean and has an entry
+/// the TreeChecker on. When the compile is clean it checks that the
+/// context's interned types render apart and, when it has an entry
 /// point, runs it on the tree-walker, links it, and runs it in the VM.
 /// Exceptions are captured into the outcome instead of escaping. The
 /// caller owns context hygiene (reset() between jobs); all pipeline

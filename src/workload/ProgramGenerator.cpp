@@ -70,7 +70,7 @@ public:
     }
 
     unsigned Cls = 0;
-    while (Lines < TargetLines - 20) {
+    while (Lines + 20 < TargetLines) {
       genClass(Cls++);
       blank();
     }

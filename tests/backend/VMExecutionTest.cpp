@@ -15,6 +15,7 @@
 #include "backend/VM.h"
 #include "backend/Verifier.h"
 #include "driver/Driver.h"
+#include "memsim/PagePool.h"
 #include "support/CancelToken.h"
 #include "support/OStream.h"
 #include "workload/ProgramGenerator.h"
@@ -631,6 +632,50 @@ TEST(VMDirected, StepAccountingIsExact) {
       PairSum += N;
     EXPECT_EQ(PairSum, Clean.StepsExecuted);
   }
+}
+
+TEST(VMDirected, ReleasedVmPagesComeBackWarm) {
+  // A VM's objects live on pages from the process's page source. A
+  // destroyed VM gives every page back, and the next VM runs on those
+  // same pages, warm, without a fresh page from the kernel.
+  const char *Source = R"(
+class Cell(val v: Int, val next: Cell)
+object Main {
+  def main(args: Array[String]): Unit = {
+    var i = 0
+    var head: Cell = null
+    while (i < 20000) { head = new Cell(i, head); i = i + 1 }
+    println(head.v)
+  }
+}
+)";
+  CompilerContext Comp;
+  std::vector<SourceInput> Sources;
+  Sources.push_back({"vm.scala", Source});
+  CompileOutput Out = compile(Comp, std::move(Sources));
+  ASSERT_FALSE(Out.EntryPoints.empty());
+  Symbol *Entry = Out.EntryPoints.front();
+  LinkedProgram Linked = linkProgram(Out.Prog, Comp);
+  ASSERT_TRUE(Linked.Failures.empty());
+
+  const PagePool &Pages = PagePool::global();
+  auto RunOnce = [&] {
+    VM M(Comp, Linked, 50'000'000);
+    EXPECT_EQ(M.runMain(Entry).Output, "19999\n");
+  };
+  PagePool::Stats S0 = Pages.stats();
+  RunOnce();
+  PagePool::Stats S1 = Pages.stats();
+  uint64_t Taken = (S1.PagesFresh - S0.PagesFresh) +
+                   (S1.PagesWarm - S0.PagesWarm);
+  EXPECT_GE(Taken, 10u); // 20,000 objects of 48 bytes
+  EXPECT_LE(Taken, PagePool::MaxPages);
+  EXPECT_EQ(S1.PagesPut - S0.PagesPut, Taken);
+  RunOnce();
+  PagePool::Stats S2 = Pages.stats();
+  EXPECT_EQ(S2.PagesFresh, S1.PagesFresh);
+  EXPECT_EQ(S2.PagesWarm - S1.PagesWarm, Taken);
+  EXPECT_EQ(S2.PagesPut - S1.PagesPut, Taken);
 }
 
 TEST(VMDirected, RepeatedRunsAreIndependent) {

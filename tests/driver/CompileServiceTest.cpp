@@ -1,7 +1,7 @@
 //===----------------------------------------------------------------------===//
 // Compile-service tests: the persistent worker pool with warm context
-// reuse and the shared page pool must be observationally identical to
-// serial cold-context compilation.
+// reuse and pages recycled through the process's page source must be
+// observationally identical to serial cold-context compilation.
 //
 //   * Determinism differential: per-job typed tree dumps and HeapStats
 //     are byte-identical to a serial cold-context baseline at worker
@@ -9,8 +9,8 @@
 //     workloads.
 //   * Context-reuse invariance: a warm (recycled) context produces the
 //     same output as a cold one, and the service actually reuses shells.
-//   * Page-pool stress: many small jobs churn pages through the shared
-//     pool (service.pagesShared > 0) with no allocator corruption — the
+//   * Page-source stress: many small jobs churn pages through the page
+//     source (service.pagesShared > 0) with no allocator corruption — the
 //     SlabAllocator's internal invariants run under every job.
 //   * Queue behavior: enqueue-while-running across multiple drains keeps
 //     in-order delivery and accumulates counters.
@@ -27,6 +27,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/CompileService.h"
+#include "memsim/PagePool.h"
 #include "support/FaultInjector.h"
 #include "workload/Corpus.h"
 #include "workload/ProgramGenerator.h"
@@ -169,9 +170,9 @@ TEST(CompileService, PagePoolStressSharesPagesAcrossJobs) {
   ServiceConfig Cfg;
   Cfg.Threads = 4;
   CompileService Service(Cfg);
-  ASSERT_NE(Service.pagePool(), nullptr);
-  // Many small jobs: every completion releases its pages into the shared
-  // pool, every start pulls from it.
+  PagePool::Stats Before = PagePool::global().stats();
+  // Many small jobs: every completion gives its pages back to the page
+  // source, every start pulls from it.
   unsigned NumJobs = 24;
   for (uint64_t Seed = 1; Seed <= NumJobs; ++Seed) {
     WorkloadProfile P = stdlibProfile(0.01);
@@ -186,12 +187,17 @@ TEST(CompileService, PagePoolStressSharesPagesAcrossJobs) {
   for (size_t I = 0; I < Results.size(); ++I)
     EXPECT_FALSE(Results[I].HadErrors) << "job " << I;
   EXPECT_EQ(Service.stats().get("service.jobsCompleted"), NumJobs);
-  // Pages mapped by earlier jobs served later ones.
-  EXPECT_GT(Service.stats().get("service.pagesShared"), 0u);
-  // All shells are parked, so their pages are back in the pool.
-  EXPECT_GT(Service.pagePool()->size(), 0u);
-  PagePool::Stats PS = Service.pagePool()->stats();
-  EXPECT_GE(PS.PagesPut, PS.PagesTaken);
+  // Pages taken by earlier jobs served later ones, warm.
+  uint64_t Shared = Service.stats().get("service.pagesShared");
+  EXPECT_GT(Shared, 0u);
+  PagePool::Stats After = PagePool::global().stats();
+  EXPECT_GE(After.PagesWarm - Before.PagesWarm, Shared);
+  // All shells are parked, so every page the jobs took is back: the
+  // source got as many pages back as it handed out.
+  EXPECT_GT(PagePool::global().size(), 0u);
+  EXPECT_EQ(After.PagesPut - Before.PagesPut,
+            (After.PagesFresh - Before.PagesFresh) +
+                (After.PagesWarm - Before.PagesWarm));
 }
 
 TEST(CompileService, EnqueueWhileRunningKeepsOrderAcrossDrains) {

@@ -178,7 +178,7 @@ TEST(ServiceFault, DelaysAloneChangeNothing) {
 }
 
 TEST(ServiceFault, PoolTakeMissesForceFreshMappingsHarmlessly) {
-  // Injected shared-pool misses push the allocator onto the cold
+  // Injected warm-list misses push the allocator onto the cold
   // fresh-mapping path; outputs must not care where pages came from.
   FaultConfig FC;
   FC.PoolTakeMissRate = 0.5;

@@ -3,17 +3,19 @@
 // valid jobs, invalid jobs (parse/type errors), deadline-doomed jobs,
 // and low-rate fault injection — must reach a resource fixed point:
 //
-//   * service.pagesMapped (fresh system mappings) plateaus after warmup:
-//     steady-state rounds run on recycled pages, so a fault/error mix
-//     cannot slowly grow the footprint;
-//   * the warm-context pool never exceeds the worker count;
-//   * the shared page pool stays within its configured cap.
+//   * the page source's fresh pages (pages it carved from kernel runs)
+//     plateau after warmup: steady-state rounds run on warm, recycled
+//     pages, so a fault/error mix cannot slowly grow the footprint;
+//   * between rounds every page is back with the source, so the pages it
+//     holds mapped never exceed its warm cap;
+//   * the warm-context pool never exceeds the worker count.
 //
 // Bounded by construction (fixed rounds of tiny jobs, wall time a few
 // seconds) so it can ride in the sanitizer CI jobs.
 //===----------------------------------------------------------------------===//
 
 #include "driver/CompileService.h"
+#include "memsim/PagePool.h"
 #include "support/FaultInjector.h"
 #include "support/Rng.h"
 #include "workload/Corpus.h"
@@ -41,16 +43,16 @@ TEST(ServiceSoak, MixedFaultedStreamReachesResourceFixedPoint) {
   Cfg.MaxQueueDepth = 32;
   Cfg.Policy = QueuePolicy::ShedOldest;
   CompileService Service(Cfg);
-  ASSERT_NE(Service.pagePool(), nullptr);
-  const size_t PoolCap = PagePool::MaxPages;
+  const PagePool &Pages = PagePool::global();
+  const uint64_t Fresh0 = Pages.stats().PagesFresh;
 
   const unsigned Rounds = 24;
   const unsigned JobsPerRound = 32;
   const unsigned WarmupRounds = 6;
-  const uint64_t MappedSlackPerRound = 8;
+  const uint64_t FreshSlackPerRound = 8;
 
   Rng R(0x50a6'7e57ULL); // fixed seed: the stream is part of the test
-  uint64_t MappedAfterWarmup = 0;
+  uint64_t FreshAfterWarmup = 0;
   for (unsigned Round = 0; Round < Rounds; ++Round) {
     for (unsigned I = 0; I < JobsPerRound; ++I) {
       BatchJob J;
@@ -89,17 +91,18 @@ TEST(ServiceSoak, MixedFaultedStreamReachesResourceFixedPoint) {
     EXPECT_LE(Results.size(), size_t(JobsPerRound));
 
     // Fixed-point assertions, once the pools are warm.
-    uint64_t Mapped = Service.stats().get("service.pagesMapped");
+    PagePool::Stats PS = Pages.stats();
+    uint64_t Fresh = PS.PagesFresh - Fresh0;
     if (Round + 1 == WarmupRounds)
-      MappedAfterWarmup = Mapped;
+      FreshAfterWarmup = Fresh;
     if (Round + 1 > WarmupRounds) {
-      uint64_t Budget = MappedAfterWarmup +
-                        MappedSlackPerRound * (Round + 1 - WarmupRounds);
-      EXPECT_LE(Mapped, Budget) << "round " << Round;
+      uint64_t Budget = FreshAfterWarmup +
+                        FreshSlackPerRound * (Round + 1 - WarmupRounds);
+      EXPECT_LE(Fresh, Budget) << "round " << Round;
     }
+    EXPECT_LE(PS.pagesHeld(), PagePool::MaxPages) << "round " << Round;
     EXPECT_LE(Service.warmContexts(), size_t(Cfg.Threads))
         << "round " << Round;
-    EXPECT_LE(Service.pagePool()->size(), PoolCap) << "round " << Round;
   }
 
   // The stream really was mixed: successes, failures, and robustness

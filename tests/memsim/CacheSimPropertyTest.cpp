@@ -7,9 +7,12 @@
 // accounting are pinned here in isolation.
 //===----------------------------------------------------------------------===//
 
+#include "driver/Driver.h"
 #include "memsim/CacheSim.h"
 #include "memsim/ManagedHeap.h"
+#include "memsim/PerfCounters.h"
 #include "support/Rng.h"
+#include "workload/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
 
@@ -169,6 +172,63 @@ TEST(CacheHierarchy, InclusiveL3EvictionBackInvalidatesL2) {
   CS.resetCounters();
   CS.load(0x0, 8);
   EXPECT_EQ(CS.counters().MemoryAccesses, 1u);
+}
+
+bool sameCounters(const CacheCounters &A, const CacheCounters &B) {
+  return A.L1DLoads == B.L1DLoads && A.L1DLoadMisses == B.L1DLoadMisses &&
+         A.L1DStores == B.L1DStores && A.L1DStoreMisses == B.L1DStoreMisses &&
+         A.L1IFetches == B.L1IFetches && A.L1IMisses == B.L1IMisses &&
+         A.L2Accesses == B.L2Accesses && A.L2Misses == B.L2Misses &&
+         A.L3Accesses == B.L3Accesses && A.L3Misses == B.L3Misses &&
+         A.MemoryAccesses == B.MemoryAccesses;
+}
+
+TEST(CacheHierarchy, CountersDoNotDependOnPlacement) {
+  // The same access pattern over objects on 64 KiB pages reads the same
+  // counters wherever the pages sit, in order or scattered (as heap pages
+  // are between runs): lines are renamed in first-touch order.
+  auto Run = [](uint64_t Base, uint64_t PageStride) {
+    CacheSim CS;
+    Rng R(7);
+    const uint64_t PerPage = 0x10000 / 48; // no object spans two pages
+    auto At = [&](uint64_t Obj) {
+      return Base + (Obj / PerPage) * PageStride + (Obj % PerPage) * 48;
+    };
+    for (int I = 0; I < 200000; ++I) {
+      uint64_t Obj = R.below(40000);
+      CS.load(At(Obj), 48);
+      if (I % 5 == 0)
+        CS.store(At(Obj), 16);
+    }
+    return CS.counters();
+  };
+  CacheCounters A = Run(0x10000, 0x10000);
+  EXPECT_GT(A.L1DLoadMisses, 0u);
+  EXPECT_GT(A.L2Misses, 0u);
+  EXPECT_TRUE(sameCounters(A, Run(0x7f3a12340000ull, 0x10000)));
+  EXPECT_TRUE(sameCounters(A, Run(0x10000, 0x10000 * 7919)));
+}
+
+TEST(CacheHierarchy, IdenticalCompilesReadIdenticalCounters) {
+  // Two identical compiles in one process, each with a fresh simulator:
+  // the second runs on pages the first gave back and on a malloc heap the
+  // first left in another state, and must read the same counters.
+  auto Run = [] {
+    CompilerContext Comp;
+    CacheSim CS;
+    PerfCounters PC(CS);
+    Comp.attachSimulators(&CS, &PC);
+    WorkloadProfile P = stdlibProfile(0.02);
+    P.UnitsHint = 2;
+    CompileOutput Out = compileProgram(Comp, generateWorkload(P),
+                                       PipelineKind::StandardFused);
+    EXPECT_FALSE(Comp.diags().hasErrors());
+    return CS.counters();
+  };
+  CacheCounters First = Run();
+  EXPECT_GT(First.L1DLoads, 0u);
+  for (int I = 0; I < 2; ++I)
+    EXPECT_TRUE(sameCounters(First, Run())) << "repeat " << I;
 }
 
 /// Locality property over strides: for a fixed number of accesses, larger

@@ -4,7 +4,10 @@
 // list reuse, fallback and disabled modes — plus the load-bearing
 // invariance property: the ManagedHeap's *simulated* statistics (what the
 // Figure 5/6 benchmarks read) are byte-identical with the slab backend on
-// vs. off, in both the standard and the AlwaysCopy configuration.
+// vs. off, in both the standard and the AlwaysCopy configuration. The
+// page-source tests pin PagePool: warm reuse up to its cap, unmapping past
+// it, and no page ever taken from malloc. Tests that count pages give the
+// allocator a PagePool of their own, so counts are exact.
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
@@ -13,8 +16,10 @@
 #include "support/Rng.h"
 #include "workload/ProgramGenerator.h"
 
+#include <algorithm>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 using namespace mpc;
 
@@ -69,7 +74,8 @@ TEST(SlabAllocator, InterleavedStressAcrossSizeClasses) {
 }
 
 TEST(SlabAllocator, FreeListReusesBlocksWithoutNewPages) {
-  SlabAllocator Slab;
+  PagePool Pool;
+  SlabAllocator Slab(true, Pool);
   void *First = Slab.allocate(48);
   Slab.deallocate(First, 48);
   for (int I = 0; I < 10000; ++I) {
@@ -94,7 +100,8 @@ TEST(SlabAllocator, DistinctClassesDoNotAlias) {
 }
 
 TEST(SlabAllocator, EmptyPagesRetireAndRecycleAcrossClasses) {
-  SlabAllocator Slab;
+  PagePool Pool;
+  SlabAllocator Slab(true, Pool);
   // Fill the first page of the 32-byte class completely (it drops off
   // the available list as full), then allocate once more so a second
   // page becomes the class's active head.
@@ -108,24 +115,27 @@ TEST(SlabAllocator, EmptyPagesRetireAndRecycleAcrossClasses) {
   EXPECT_EQ(Slab.stats().PagesRetired, 0u);
 
   // Free every block of the first page. It re-enters the available list
-  // behind the active head and, once fully free, retires.
+  // behind the active head and, once fully free, retires to the source.
   for (void *P : First)
     Slab.deallocate(P, BlockBytes);
   EXPECT_EQ(Slab.stats().PagesRetired, 1u);
+  EXPECT_EQ(Pool.size(), 1u);
 
-  // A different size class reuses the retired page instead of mapping a
+  // A different size class reuses the retired page, warm, instead of a
   // fresh one.
   void *Other = Slab.allocate(128);
-  EXPECT_EQ(Slab.stats().PagesRecycled, 1u);
-  EXPECT_EQ(Slab.stats().PagesMapped, 2u); // no new system page
-  EXPECT_EQ(Slab.stats().SystemCalls, 2u);
+  EXPECT_EQ(Slab.stats().PagesMapped, 3u);
+  EXPECT_EQ(Slab.stats().PagesWarm, 1u);
+  EXPECT_EQ(Slab.stats().SystemCalls, 3u);
+  EXPECT_EQ(Pool.stats().PagesFresh, 2u); // no new page from the kernel
 
   Slab.deallocate(Other, 128);
   Slab.deallocate(Keep, BlockBytes);
 }
 
 TEST(SlabAllocator, ActivePageHysteresisAvoidsRetireThrash) {
-  SlabAllocator Slab;
+  PagePool Pool;
+  SlabAllocator Slab(true, Pool);
   // A single page that is the class's active page: a free/alloc ping-pong
   // on one block must not retire and re-prime it every cycle.
   void *P = Slab.allocate(48);
@@ -140,11 +150,10 @@ TEST(SlabAllocator, ActivePageHysteresisAvoidsRetireThrash) {
 
 TEST(PagePool, TrimCapsPoolInventory) {
   // Releasing an allocator that holds more pages than the pool's cap
-  // trims the excess to the system instead of hoarding it.
+  // keeps MaxPages of them warm and unmaps the rest.
   PagePool Pool;
-  SlabAllocator Slab;
-  Slab.setPagePool(&Pool);
-  // Map past the cap across several classes.
+  SlabAllocator Slab(true, Pool);
+  // Take pages past the cap across several classes.
   std::vector<std::pair<void *, size_t>> Blocks;
   for (size_t Size : {32u, 128u, 256u, 480u})
     for (int I = 0; I < 300; ++I)
@@ -155,22 +164,74 @@ TEST(PagePool, TrimCapsPoolInventory) {
   for (auto &[Ptr, Size] : Blocks)
     Slab.deallocate(Ptr, Size);
   Slab.releaseAll();
-  // The cap held: at most MaxPages pooled, the rest trimmed.
+  // The cap held: MaxPages warm, the rest unmapped.
   EXPECT_EQ(Pool.size(), PagePool::MaxPages);
   PagePool::Stats PS = Pool.stats();
-  EXPECT_EQ(PS.PagesTrimmed, Mapped - Pool.size());
-  EXPECT_GT(PS.PagesTrimmed, 0u);
-  // Pooled pages still serve the next context.
-  SlabAllocator Next;
-  Next.setPagePool(&Pool);
+  EXPECT_EQ(PS.PagesFresh, Mapped);
+  EXPECT_EQ(PS.PagesPut, Mapped);
+  EXPECT_EQ(PS.PagesTrimmed, Mapped - PagePool::MaxPages);
+  EXPECT_EQ(PS.pagesHeld(), PagePool::MaxPages);
+  // Fresh pages come from 2 MiB kernel runs, not one mapping per page.
+  EXPECT_EQ(PS.RunsMapped,
+            (Mapped + PagePool::RunPages - 1) / PagePool::RunPages);
+  // Warm pages serve the next heap.
+  SlabAllocator Next(true, Pool);
   void *P = Next.allocate(64);
-  EXPECT_EQ(Next.stats().PagesFromPool, 1u);
-  EXPECT_EQ(Next.stats().PagesMapped, 0u);
+  EXPECT_EQ(Next.stats().PagesMapped, 1u);
+  EXPECT_EQ(Next.stats().PagesWarm, 1u);
+  EXPECT_EQ(Pool.stats().PagesFresh, Mapped);
   Next.deallocate(P, 64);
 }
 
+TEST(PagePool, PagesAreAlignedAndDistinct) {
+  PagePool Pool;
+  std::vector<void *> Pages;
+  for (size_t I = 0; I < 2 * PagePool::RunPages + 3; ++I) {
+    PagePool::Taken T = Pool.take();
+    EXPECT_FALSE(T.Warm);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(T.Page) % PagePool::PageBytes, 0u);
+    // Every byte of a page is usable.
+    std::memset(T.Page, 0x5a, PagePool::PageBytes);
+    Pages.push_back(T.Page);
+  }
+  std::sort(Pages.begin(), Pages.end());
+  for (size_t I = 1; I < Pages.size(); ++I)
+    EXPECT_GE(static_cast<char *>(Pages[I]) - static_cast<char *>(Pages[I - 1]),
+              static_cast<ptrdiff_t>(PagePool::PageBytes));
+  EXPECT_EQ(Pool.stats().RunsMapped, 3u);
+  // Given back, they come out again warm, last in first out.
+  for (void *P : Pages)
+    Pool.put(P);
+  PagePool::Taken T = Pool.take();
+  EXPECT_TRUE(T.Warm);
+  EXPECT_EQ(T.Page, Pages.back());
+  Pool.put(T.Page);
+}
+
+TEST(PagePool, TakingAndReleasingPagesLeavesMallocHeapUnchanged) {
+  // With the slab on, pages come from the kernel, never from malloc: a
+  // heap that takes and releases hundreds of pages leaves glibc's arena
+  // exactly as large as before.
+  PagePool Pool;
+  SlabAllocator Slab(true, Pool);
+  std::vector<void *> Blocks;
+  const size_t NumBlocks = 200'000;
+  Blocks.reserve(NumBlocks); // the only malloc, before the measurement
+  size_t Arena0 = mallinfo2().arena;
+  for (size_t I = 0; I < NumBlocks; ++I)
+    Blocks.push_back(Slab.allocate(64));
+  for (void *P : Blocks)
+    Slab.deallocate(P, 64);
+  Slab.releaseAll();
+  size_t Arena1 = mallinfo2().arena;
+  EXPECT_EQ(Arena1, Arena0);
+  EXPECT_GT(Slab.stats().PagesMapped, 150u);
+  EXPECT_EQ(Slab.stats().FallbackAllocs, 0u);
+}
+
 TEST(SlabAllocator, DisabledModePassesThrough) {
-  SlabAllocator Slab(/*Enabled=*/false);
+  PagePool Pool;
+  SlabAllocator Slab(/*Enabled=*/false, Pool);
   void *P = Slab.allocate(64);
   ASSERT_NE(P, nullptr);
   std::memset(P, 0xab, 64);
@@ -178,6 +239,7 @@ TEST(SlabAllocator, DisabledModePassesThrough) {
   EXPECT_EQ(Slab.stats().SlabAllocs, 0u);
   EXPECT_EQ(Slab.stats().PagesMapped, 0u);
   EXPECT_EQ(Slab.stats().SystemCalls, 1u);
+  EXPECT_EQ(Pool.stats().PagesFresh, 0u);
 }
 
 //===----------------------------------------------------------------------===//

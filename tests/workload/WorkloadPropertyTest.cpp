@@ -70,4 +70,15 @@ TEST(GeneratorScaling, LocTracksTarget) {
   EXPECT_GT(countLines(Large), countLines(Small) * 2);
 }
 
+// A unit target under the generator's 20-line driver allowance yields a
+// unit with no classes, not an endless class loop (the target is
+// unsigned, so the allowance must not be subtracted from it). Also run
+// alone as the GeneratorTinyScaleTerminates ctest, under a timeout.
+TEST(GeneratorScaling, TinyScaleTerminates) {
+  auto Sources = generateWorkload(stdlibProfile(1e-6));
+  ASSERT_FALSE(Sources.empty());
+  for (const SourceInput &S : Sources)
+    EXPECT_FALSE(S.Text.empty()) << S.FileName;
+}
+
 } // namespace

@@ -142,7 +142,7 @@ int main(int Argc, char **Argv) {
   if (Stats.ok()) {
     std::printf("mpc_fuzz: all properties held (no crashes, deterministic, "
                 "warm == cold, trees check, bytecode verifies, "
-                "vm == tree-walker)\n");
+                "vm == tree-walker, types render apart)\n");
     return 0;
   }
   std::printf("mpc_fuzz: %zu violations\n", Stats.Violations.size());

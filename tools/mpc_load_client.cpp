@@ -36,8 +36,9 @@ namespace {
 
 constexpr uint64_t MaxRequests = 10'000'000;
 constexpr uint64_t MaxVariants = 1024;
-/// Below about 0.0012, stdlibProfile asks generateWorkload for units of
-/// fewer than 20 lines, and its class loop never ends.
+/// At 0.01 stdlibProfile asks for units of about 85 lines; much below
+/// that a unit is little more than its driver object, and the requests
+/// would time the wire and the queue rather than the compiler.
 constexpr double MinScale = 0.01;
 
 } // namespace
