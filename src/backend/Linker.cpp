@@ -4,6 +4,7 @@
 #include "core/CompilerContext.h"
 
 #include <cassert>
+#include <cstring>
 #include <map>
 
 using namespace mpc;
@@ -275,12 +276,18 @@ private:
         }
   }
 
-  const std::string *poolStr(const std::string &S) {
+  const VMString *poolStr(const std::string &S) {
     auto It = StrIndex.find(S);
     if (It != StrIndex.end())
       return It->second;
-    LP.StrPool.push_back(S);
-    const std::string *P = &LP.StrPool.back();
+    auto Block = std::make_unique_for_overwrite<char[]>(sizeof(VMString) +
+                                                         S.size());
+    auto *P = reinterpret_cast<VMString *>(Block.get());
+    P->Tag = CellTag::ConstString;
+    P->Pad = 0;
+    P->Len = S.size();
+    std::memcpy(Block.get() + sizeof(VMString), S.data(), S.size());
+    LP.StrPool.push_back(std::move(Block));
     StrIndex.emplace(S, P);
     return P;
   }
@@ -749,7 +756,7 @@ private:
   LinkedProgram LP;
   FlatPtrMap<ClassSymbol *, const ClassFile *> FileOf;
   FlatPtrMap<MethodCode *, LMethod *> MethodOf;
-  std::map<std::string, const std::string *> StrIndex;
+  std::map<std::string, const VMString *> StrIndex;
 };
 
 } // namespace

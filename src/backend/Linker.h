@@ -30,8 +30,8 @@
 #include "backend/Bytecode.h"
 #include "support/FlatPtrMap.h"
 
-#include <deque>
 #include <memory>
+#include <string_view>
 
 namespace mpc {
 
@@ -49,7 +49,7 @@ enum class LOp : uint8_t {
   ConstBool,   // Imm.I (0/1)
   ConstInt,    // Imm.I
   ConstDouble, // Imm.D
-  ConstStr,    // Imm.P = const std::string* (pooled)
+  ConstStr,    // Imm.P = const VMString* (pooled)
   ConstNull,
   ConstClass, // Imm.P = const Type*
   LoadSlot,   // A = slot
@@ -91,7 +91,7 @@ enum class LOp : uint8_t {
   ReturnValue,
   Pop,
   Dup,
-  LinkError, // Imm.P = const std::string* (message); raises a VM error
+  LinkError, // Imm.P = const VMString* (message); raises a VM error
   // Superinstructions (fused pairs; picked from measured pair counts).
   LoadLoad,     // A = slot1, B = slot2
   LoadConstInt, // A = slot, Imm.I
@@ -105,6 +105,24 @@ enum class LOp : uint8_t {
   LoadConstRem, // A = load slot, Imm.I = int constant
   NumLOps,
 };
+
+/// What a cell of the VM heap is. Every cell starts with its tag, so the
+/// collector (VM.cpp) can walk a page cell by cell and tell a moved cell
+/// from a live one. ConstString marks the linker's pooled strings, which
+/// live outside the heap and are never moved.
+enum class CellTag : uint32_t { Object, Array, String, ConstString, Forwarded };
+
+/// An immutable string: a 16-byte header, then Len bytes in place. The
+/// VM's heap strings and the linker's pooled ConstStr constants share
+/// this layout, so a string value is one pointer whoever made it.
+struct VMString {
+  CellTag Tag;
+  uint32_t Pad;
+  uint64_t Len;
+  const char *data() const { return reinterpret_cast<const char *>(this + 1); }
+  std::string_view view() const { return {data(), Len}; }
+};
+static_assert(sizeof(VMString) == 16, "string bytes start 16-byte aligned");
 
 /// Printable opcode name (stats keys, bench output).
 const char *lopName(LOp Code);
@@ -207,12 +225,14 @@ struct LinkOptions {
 };
 
 /// The linked program: everything the VM executes, with stable addresses
-/// (deques/unique_ptrs) so inline caches and Imm.P pointers stay valid.
+/// (unique_ptrs) so inline caches and Imm.P pointers stay valid.
 struct LinkedProgram {
   std::vector<std::unique_ptr<LClass>> Classes;
   std::vector<std::unique_ptr<LMethod>> Methods;
   FlatPtrMap<ClassSymbol *, LClass *> ClassBySym;
-  std::deque<std::string> StrPool; // ConstStr + LinkError payloads
+  /// ConstStr and LinkError payloads, one block per distinct text, each
+  /// a VMString tagged ConstString followed by its bytes.
+  std::vector<std::unique_ptr<char[]>> StrPool;
   std::vector<CallSite> CallSites;
   std::vector<FieldSite> FieldSites;
   /// Verifier findings for methods that failed to link (the VM refuses

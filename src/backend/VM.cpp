@@ -24,6 +24,11 @@
 /// finalizer replaces the error, exactly like a C++ exception thrown from
 /// a catch-all block.
 ///
+/// The heap (VMArena) holds objects, arrays and strings as tagged cells on
+/// pages from the process's page source. runMain collects it at entry,
+/// when only the module slots can reach it, by copying what they reach
+/// onto fresh pages (collect); the dispatch loop never collects.
+///
 //===----------------------------------------------------------------------===//
 
 #include "backend/VM.h"
@@ -31,13 +36,14 @@
 #include "ast/Types.h"
 #include "memsim/PagePool.h"
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <new>
+#include <utility>
 
 using namespace mpc;
 
@@ -75,7 +81,7 @@ struct VMValue {
   union {
     int64_t I;
     double D;
-    const std::string *S;
+    const VMString *S;
     VMObj *O;
     VMArr *A;
     const Type *Cl;
@@ -93,67 +99,149 @@ static_assert(sizeof(VMValue) == 16 && alignof(VMValue) == 8);
 static_assert(std::endian::native == std::endian::little,
               "Kind is the first byte of the low lane");
 
-/// Heap object: class pointer, presence count, then the layout's field
-/// values in place. NumFields mirrors the interpreter's per-object field
-/// *map*: a builtin shell constructed with no arguments has an empty map
-/// (reads fail), even though the layout reserves the payload slot.
-/// Declared classes are always fully present.
+/// Heap object: tag, presence count, class pointer, then the layout's
+/// field values in place. NumFields mirrors the interpreter's per-object
+/// field *map*: a builtin shell constructed with no arguments has an
+/// empty map (reads fail), even though the layout reserves the payload
+/// slot. Declared classes are always fully present. Every layout slot
+/// holds a value either way (allocObj writes the defaults).
 struct VMObj {
-  LClass *Cls;
+  CellTag Tag;
   uint32_t NumFields;
+  LClass *Cls;
   VMValue *fields() { return reinterpret_cast<VMValue *>(this + 1); }
 };
 
-/// Heap array: length then the elements in place.
+/// Heap array: tag, length, then the elements in place.
 struct VMArr {
+  CellTag Tag;
+  uint32_t Pad;
   int64_t Len;
   VMValue *elems() { return reinterpret_cast<VMValue *>(this + 1); }
 };
+static_assert(sizeof(VMObj) == 16 && sizeof(VMArr) == 16,
+              "fields and elements start 16-byte aligned");
 
-/// Bump allocator for objects and arrays over 64 KiB pages from the
-/// process's page source, so a VM's memory goes back warm to the next VM
-/// (or compile) when it is destroyed, instead of into malloc's heap.
-/// Guest programs are bounded by the step limit, so the run's
-/// allocations simply live until the VM is destroyed; no collector.
-/// Pages are not zeroed: allocObj and allocArr write every word they
-/// hand out. Each page starts with a link to the page taken before it;
-/// an allocation larger than a page gets a block of its own.
+static_assert(VM::CollectFloorBytes == 4 * PagePool::PageBytes);
+
+constexpr size_t roundToCell(size_t Bytes) {
+  return (Bytes + 15) & ~size_t(15);
+}
+
+/// Bytes the cell at \p Cell takes in its arena, read from its header
+/// (so never asked of a cell that has been forwarded).
+size_t cellBytes(const void *Cell) {
+  switch (*static_cast<const CellTag *>(Cell)) {
+  case CellTag::Object:
+    return sizeof(VMObj) +
+           static_cast<const VMObj *>(Cell)->Cls->FieldSyms.size() *
+               sizeof(VMValue);
+  case CellTag::Array:
+    return sizeof(VMArr) +
+           static_cast<size_t>(static_cast<const VMArr *>(Cell)->Len) *
+               sizeof(VMValue);
+  case CellTag::String:
+    return roundToCell(sizeof(VMString) +
+                       static_cast<const VMString *>(Cell)->Len);
+  case CellTag::ConstString:
+  case CellTag::Forwarded:
+    break;
+  }
+  __builtin_unreachable(); // neither is ever a cell of an arena
+}
+
+/// The VM heap. Cells (objects, arrays, strings) are bump-allocated,
+/// 16-byte aligned, over 64 KiB pages from the process's page source; a
+/// cell larger than a page gets a block of its own. Each cell starts with
+/// its CellTag and is at least 16 bytes, so a page can be walked cell by
+/// cell (scan) and any cell can be overwritten by a forwarding address.
+/// Pages are not zeroed: every allocation site writes every word it hands
+/// out, padding after a string's bytes aside.
+///
+/// An arena never frees a cell. VM::Impl::collect() copies what the
+/// module slots reach into a fresh arena and destroys the old one, whose
+/// pages go back warm to the page source, as a destroyed VM's do.
 class VMArena {
 public:
   VMArena() = default;
   VMArena(const VMArena &) = delete;
   VMArena &operator=(const VMArena &) = delete;
   ~VMArena() {
-    while (Head) {
-      void *Prev = *static_cast<void **>(Head);
-      PagePool::global().put(Head);
-      Head = Prev;
-    }
+    for (const Page &P : Pages)
+      PagePool::global().put(P.Base);
+  }
+
+  void swap(VMArena &O) {
+    std::swap(Pages, O.Pages);
+    std::swap(Cur, O.Cur);
+    std::swap(Used, O.Used);
+    std::swap(Oversized, O.Oversized);
+    std::swap(OversizedBytes, O.OversizedBytes);
   }
 
   void *alloc(size_t Bytes) {
-    Bytes = (Bytes + 15) & ~size_t(15);
-    if (Bytes > PageBytes - LinkBytes) {
+    Bytes = roundToCell(Bytes);
+    if (Bytes > PageBytes) {
       Oversized.push_back(std::make_unique_for_overwrite<char[]>(Bytes));
+      OversizedBytes += Bytes;
       return Oversized.back().get();
     }
     if (Used + Bytes > PageBytes) {
-      void *Page = PagePool::global().take().Page;
-      *static_cast<void **>(Page) = Head;
-      Head = Page;
-      Used = LinkBytes;
+      if (!Pages.empty())
+        Pages.back().Used = Used;
+      Cur = static_cast<char *>(PagePool::global().take().Page);
+      Pages.push_back({Cur, 0});
+      Used = 0;
     }
-    void *P = static_cast<char *>(Head) + Used;
+    void *P = Cur + Used;
     Used += Bytes;
     return P;
   }
 
+  /// Pages and oversized blocks held, in bytes.
+  size_t bytesHeld() const {
+    return Pages.size() * PageBytes + OversizedBytes;
+  }
+
+  /// Calls \p Visit(char *Cell) on every cell in allocation order, pages
+  /// before oversized blocks, including the cells Visit itself allocates
+  /// here: the arena is its own work list, as in Cheney's algorithm.
+  template <class F> void scan(F &&Visit) {
+    size_t PageIx = 0, Off = 0, BigIx = 0;
+    for (;;) {
+      if (PageIx < Pages.size()) {
+        const bool Last = PageIx + 1 == Pages.size();
+        if (Off < (Last ? Used : Pages[PageIx].Used)) {
+          char *Cell = Pages[PageIx].Base + Off;
+          Off += cellBytes(Cell);
+          Visit(Cell);
+          continue;
+        }
+        if (!Last) {
+          ++PageIx;
+          Off = 0;
+          continue;
+        }
+      }
+      if (BigIx == Oversized.size())
+        return;
+      Visit(Oversized[BigIx++].get());
+    }
+  }
+
 private:
   static constexpr size_t PageBytes = PagePool::PageBytes;
-  static constexpr size_t LinkBytes = 16; // keeps blocks 16-byte aligned
-  void *Head = nullptr;
-  std::vector<std::unique_ptr<char[]>> Oversized;
+  /// One page; Used is kept up to date once a later page is taken (the
+  /// current page's fill is the Used member).
+  struct Page {
+    char *Base;
+    size_t Used;
+  };
+  std::vector<Page> Pages;
+  char *Cur = nullptr;
   size_t Used = PageBytes;
+  std::vector<std::unique_ptr<char[]>> Oversized;
+  size_t OversizedBytes = 0;
 };
 
 VMValue vBool(bool B) { return VMValue(VMValue::Bool, B); }
@@ -163,7 +251,7 @@ VMValue vInt(int64_t N) {
 VMValue vDbl(double N) {
   return VMValue(VMValue::Dbl, std::bit_cast<uint64_t>(N));
 }
-VMValue vStr(const std::string *S) {
+VMValue vStr(const VMString *S) {
   return VMValue(VMValue::Str, reinterpret_cast<uintptr_t>(S));
 }
 VMValue vNull() { return VMValue(VMValue::Null, 0); }
@@ -230,6 +318,8 @@ public:
     FramesC = &S.counter("backend.vm.frames");
     ObjAllocsC = &S.counter("backend.vm.alloc.objects");
     ArrAllocsC = &S.counter("backend.vm.alloc.arrays");
+    CollectionsC = &S.counter("backend.vm.gc.collections");
+    BytesCopiedC = &S.counter("backend.vm.gc.bytes_copied");
   }
 
   ExecResult runMain(Symbol *Entry, const std::vector<std::string> &Args) {
@@ -241,6 +331,14 @@ public:
     Frames.clear();
     Top = 0;
     PendingError.clear();
+
+    // Between runs the stack and the frames are dead, so the module slots
+    // are the only roots: here the heap can be collected without a stack
+    // map. run() never collects; within a run the step limit bounds what
+    // it allocates.
+    const size_t Grown = Arena.bytesHeld() - HeldAfterCollect;
+    if (Grown >= std::max(VM::CollectFloorBytes, 2 * HeldAfterCollect))
+      collect();
 
     if (!LP.Failures.empty()) {
       Uncaught = true;
@@ -302,7 +400,7 @@ public:
 
     VMArr *ArgArr = allocArr(static_cast<int64_t>(Args.size()));
     for (size_t I = 0; I < Args.size(); ++I)
-      ArgArr->elems()[I] = vStr(internStr(Args[I]));
+      ArgArr->elems()[I] = vStr(newStr(Args[I]));
 
     ensureStack(8);
     Top = 0;
@@ -320,18 +418,63 @@ public:
   }
   const std::vector<uint64_t> &pairCounts() const { return Pairs; }
 
+  size_t heapBytes() const { return Arena.bytesHeld(); }
+
+  /// Copies every cell the module slots reach into a fresh arena, Cheney
+  /// style, and gives the old arena's pages back to the page source.
+  /// Pooled constant strings stay where they are. Only between runs.
+  void collect() {
+    VMArena To;
+    for (VMValue &V : Modules)
+      evacuate(V, To);
+    To.scan([&](char *Cell) {
+      switch (*reinterpret_cast<const CellTag *>(Cell)) {
+      case CellTag::Object: {
+        auto *O = reinterpret_cast<VMObj *>(Cell);
+        for (size_t I = 0, N = O->Cls->FieldSyms.size(); I < N; ++I)
+          evacuate(O->fields()[I], To);
+        return;
+      }
+      case CellTag::Array: {
+        auto *A = reinterpret_cast<VMArr *>(Cell);
+        for (int64_t I = 0; I < A->Len; ++I)
+          evacuate(A->elems()[I], To);
+        return;
+      }
+      default:
+        return; // strings hold no references
+      }
+    });
+    Arena.swap(To);
+    HeldAfterCollect = Arena.bytesHeld();
+    ++Collections;
+  } // To, now the old arena, gives its pages back here
+
 private:
   //===--- heap -----------------------------------------------------------===//
 
-  const std::string *internStr(std::string S) {
-    StrHeap.push_back(std::move(S));
-    return &StrHeap.back();
+  const VMString *newStr(std::string_view Text) {
+    auto *S =
+        static_cast<VMString *>(Arena.alloc(sizeof(VMString) + Text.size()));
+    S->Tag = CellTag::String;
+    S->Pad = 0;
+    S->Len = Text.size();
+    std::memcpy(S + 1, Text.data(), Text.size());
+    return S;
+  }
+
+  /// show(V) as a heap string, rendered through the reused StrBuf.
+  const VMString *showStr(const VMValue &V) {
+    StrBuf.clear();
+    showTo(StrBuf, V);
+    return newStr(StrBuf);
   }
 
   VMObj *allocObj(LClass *LC) {
     const size_t N = LC->FieldSyms.size();
     auto *O =
         static_cast<VMObj *>(Arena.alloc(sizeof(VMObj) + N * sizeof(VMValue)));
+    O->Tag = CellTag::Object;
     O->Cls = LC;
     // Builtins start with an *empty* field map like the interpreter's
     // builtinNew; the payload slot only becomes present when the
@@ -352,6 +495,8 @@ private:
       throw std::bad_alloc();
     auto *A = static_cast<VMArr *>(
         Arena.alloc(sizeof(VMArr) + static_cast<size_t>(Len) * sizeof(VMValue)));
+    A->Tag = CellTag::Array;
+    A->Pad = 0;
     A->Len = Len;
     VMValue D = defaultOf(DK);
     for (int64_t I = 0; I < Len; ++I)
@@ -365,10 +510,49 @@ private:
     LClass *LC = *TP; // the linker always materializes Throwable
     VMObj *O = allocObj(LC);
     if (LC->MsgSlot >= 0) {
-      O->fields()[LC->MsgSlot] = vStr(internStr(Msg));
+      O->fields()[LC->MsgSlot] = vStr(newStr(Msg));
       O->NumFields = static_cast<uint32_t>(LC->MsgSlot) + 1;
     }
     return vObj(O);
+  }
+
+  /// Points \p V at its cell's copy in \p To, copying the cell first
+  /// unless an earlier reference did. A copied cell's first 16 bytes
+  /// become its tag, Forwarded, and the copy's address.
+  void evacuate(VMValue &V, VMArena &To) {
+    void *Cell;
+    switch (V.Kind) {
+    case VMValue::Obj:
+      Cell = V.O;
+      break;
+    case VMValue::Arr:
+      Cell = V.A;
+      break;
+    case VMValue::Str:
+      Cell = const_cast<VMString *>(V.S);
+      break;
+    default:
+      return;
+    }
+    char *Bytes = static_cast<char *>(Cell);
+    void *Copy;
+    switch (*static_cast<const CellTag *>(Cell)) {
+    case CellTag::ConstString:
+      return;
+    case CellTag::Forwarded:
+      std::memcpy(&Copy, Bytes + 8, sizeof(Copy));
+      break;
+    default: {
+      const size_t N = cellBytes(Cell);
+      Copy = To.alloc(N);
+      std::memcpy(Copy, Cell, N);
+      const CellTag Moved = CellTag::Forwarded;
+      std::memcpy(Bytes, &Moved, sizeof(Moved));
+      std::memcpy(Bytes + 8, &Copy, sizeof(Copy));
+      BytesCopied += N;
+    }
+    }
+    V = VMValue(V.Kind, reinterpret_cast<uintptr_t>(Copy));
   }
 
   //===--- value mirrors (interpreter-exact) ------------------------------===//
@@ -452,7 +636,7 @@ private:
     case VMValue::Bool:
       return A.I == B.I;
     case VMValue::Str:
-      return *A.S == *B.S;
+      return A.S->view() == B.S->view();
     case VMValue::Clazz: {
       // Class literals compare erased, like the JVM.
       const auto *CA = dyn_cast<ClassType>(A.Cl);
@@ -519,7 +703,7 @@ private:
       return;
     }
     case VMValue::Str:
-      Out += *V.S;
+      Out += V.S->view();
       return;
     case VMValue::Null:
       Out += "null";
@@ -554,7 +738,7 @@ private:
         VMValue Msg = caseSlotValue(V.O, C->MsgSlot);
         if (Msg.Kind == VMValue::Str) {
           Out += '(';
-          Out += *Msg.S;
+          Out += Msg.S->view();
           Out += ')';
         }
       } else {
@@ -687,6 +871,10 @@ private:
     *FramesC += FramesPushed;
     *ObjAllocsC += ObjAllocs;
     *ArrAllocsC += ArrAllocs;
+    // A collection forced between runs (VM::collect) is flushed here
+    // too, with the run that follows it.
+    *CollectionsC += std::exchange(Collections, 0);
+    *BytesCopiedC += std::exchange(BytesCopied, 0);
     return R;
   }
 
@@ -718,7 +906,10 @@ private:
   std::vector<uint8_t> ModuleReady;
 
   VMArena Arena;
-  std::deque<std::string> StrHeap;
+  /// Arena.bytesHeld() just after the last collection (0 before one).
+  size_t HeldAfterCollect = 0;
+  /// Concat and toString render here, then copy the text into the heap.
+  std::string StrBuf;
   std::string Output;
   std::string PendingError;
   /// The run's ending, when an exception or VM error escaped main.
@@ -728,12 +919,14 @@ private:
   uint64_t CallHits = 0, CallMisses = 0;
   uint64_t FieldHits = 0, FieldMisses = 0;
   uint64_t FramesPushed = 0, ObjAllocs = 0, ArrAllocs = 0;
+  uint64_t Collections = 0, BytesCopied = 0;
 
   // Pre-resolved registry slots (see the constructor).
   uint64_t *StepsC = nullptr;
   uint64_t *CallHitsC = nullptr, *CallMissesC = nullptr;
   uint64_t *FieldHitsC = nullptr, *FieldMissesC = nullptr;
   uint64_t *FramesC = nullptr, *ObjAllocsC = nullptr, *ArrAllocsC = nullptr;
+  uint64_t *CollectionsC = nullptr, *BytesCopiedC = nullptr;
 
   bool PairsOn = false;
   std::vector<uint64_t> Pairs;
@@ -931,7 +1124,7 @@ slow: {
   }
 
   VM_CASE(ConstStr) {
-    Sk[Sp++] = vStr(static_cast<const std::string *>(Ip->Imm.P));
+    Sk[Sp++] = vStr(static_cast<const VMString *>(Ip->Imm.P));
     VM_NEXT();
   }
 
@@ -1131,7 +1324,7 @@ slow: {
       // Object methods on primitives, routed by the name class the
       // linker computed (the interpreter compares name text here).
       if (CS.NC == CallSite::IsToString) {
-        VMValue S = vStr(internStr(show(R)));
+        VMValue S = vStr(showStr(R));
         Sp = RecvAt;
         Sk[Sp++] = S;
         VM_NEXT();
@@ -1348,11 +1541,10 @@ slow: {
   VM_CASE(Concat) {
     const VMValue R = Sk[--Sp];
     const VMValue L = Sk[--Sp];
-    std::string S;
-    showTo(S, L);
-    showTo(S, R);
-    Sk[Sp++] = vStr(internStr(std::move(S)));
-    Sk = Stack.data();
+    StrBuf.clear();
+    showTo(StrBuf, L);
+    showTo(StrBuf, R);
+    Sk[Sp++] = vStr(newStr(StrBuf));
     VM_NEXT();
   }
 
@@ -1433,7 +1625,7 @@ slow: {
     const VMValue Q = Sk[--Sp];
     if (Q.Kind != VMValue::Str)
       VM_TRAP_ERR("string length on non-string");
-    Sk[Sp++] = vInt(static_cast<int64_t>(Q.S->size()));
+    Sk[Sp++] = vInt(static_cast<int64_t>(Q.S->Len));
     VM_NEXT();
   }
 
@@ -1478,8 +1670,7 @@ slow: {
 
   VM_CASE(ValueToString) {
     const VMValue Q = Sk[--Sp];
-    Sk[Sp++] = vStr(internStr(show(Q)));
-    Sk = Stack.data();
+    Sk[Sp++] = vStr(showStr(Q));
     VM_NEXT();
   }
 
@@ -1543,7 +1734,7 @@ slow: {
   }
 
   VM_CASE(LinkError) {
-    VM_TRAP_ERR(*static_cast<const std::string *>(Ip->Imm.P));
+    VM_TRAP_ERR(std::string(static_cast<const VMString *>(Ip->Imm.P)->view()));
   }
 
   //===--- superinstructions ----------------------------------------------===//
@@ -1706,5 +1897,9 @@ ExecResult VM::runMain(Symbol *EntryPoint,
 }
 
 void VM::enablePairCounts() { P->enablePairCounts(); }
+
+void VM::collect() { P->collect(); }
+
+size_t VM::heapBytes() const { return P->heapBytes(); }
 
 const std::vector<uint64_t> &VM::pairCounts() const { return P->pairCounts(); }

@@ -70,8 +70,9 @@ public:
   /// (perfbench seeds 1-2, Release): a compile-cold request takes about
   /// 105 pages; at 128 it faults 0 times in the median (at most 24), at
   /// 64 it faults 600-810 times, re-mapping what the cap unmapped.
-  /// Larger caps only hold more memory: run-vm peak RSS read 31 MB at
-  /// 128, 34 MB at 256 and 33 MB at 1,024, as the pages of its set-up
+  /// Larger caps only hold more memory: run-vm peak RSS read 23 MB at
+  /// 128 and 26 MB at both 256 and 1,024 (21 MB at 64; seeds 1-2, 8 s,
+  /// VM heaps collected between runs), as the pages of its set-up
   /// compiles stay resident after their contexts are gone.
   static constexpr size_t MaxPages = 128;
 

@@ -153,24 +153,43 @@ FuzzOutcome mpc::runPipelineOnce(CompilerContext &Comp,
       O.CheckText += F.PhaseName + ": " + F.Message + "\n";
     if (!O.HasErrors)
       O.RenderText = renderCollisions(Comp.types());
-    if (!O.HasErrors && !Out.EntryPoints.empty()) {
-      // The tree-walker is the oracle; the linked VM must match it.
-      Interpreter I(Comp, Out.Units);
-      ExecResult R = I.runMain(Out.EntryPoints.front());
-      O.Output = R.Output;
-      O.Uncaught = R.Uncaught;
-      if (R.Uncaught)
-        O.Error = R.Error;
-
-      // linkProgram verifies every method; the VM refuses a program
-      // with failures, so a rejection is reported instead of a run.
+    if (!O.HasErrors) {
+      // linkProgram verifies every method, entry point or not; the VM
+      // refuses a program with failures, so a rejection is reported
+      // instead of a run.
       LinkedProgram Linked = linkProgram(Out.Prog, Comp);
       for (const VerifyFailure &F : Linked.Failures)
         O.VerifyText += "pc " + std::to_string(F.Pc) + ": " + F.Message + "\n";
-      if (Linked.Failures.empty()) {
-        VM M(Comp, Linked);
-        O.RanVM = true;
-        O.VmDiff = diffEngines(R, M.runMain(Out.EntryPoints.front()));
+      if (!Out.EntryPoints.empty()) {
+        // The tree-walker is the oracle; the linked VM must match it on
+        // every run of one sequence, as module state carries over.
+        Symbol *Entry = Out.EntryPoints.front();
+        Interpreter I(Comp, Out.Units);
+        std::vector<ExecResult> Oracle;
+        for (unsigned Run = 0; Run < RunsPerCase; ++Run)
+          Oracle.push_back(I.runMain(Entry));
+        O.Output = Oracle.front().Output;
+        O.Uncaught = Oracle.front().Uncaught;
+        if (O.Uncaught)
+          O.Error = Oracle.front().Error;
+        if (Linked.Failures.empty()) {
+          const char *Collections = "backend.vm.gc.collections";
+          const uint64_t Before = Comp.stats().get(Collections);
+          VM M(Comp, Linked);
+          O.RanVM = true;
+          // Fuzz programs allocate too little to reach the collection
+          // floor in a few runs, so each repeated run starts on a heap
+          // collected on purpose.
+          for (unsigned Run = 0; Run < RunsPerCase && O.VmDiff.empty();
+               ++Run) {
+            if (Run > 0)
+              M.collect();
+            if (std::string D = diffEngines(Oracle[Run], M.runMain(Entry));
+                !D.empty())
+              O.VmDiff = "run " + std::to_string(Run + 1) + ": " + D;
+          }
+          O.VmCollections = Comp.stats().get(Collections) - Before;
+        }
       }
     }
   } catch (const std::exception &E) {
@@ -218,7 +237,7 @@ std::string diffOutcomes(const FuzzOutcome &A, const FuzzOutcome &B) {
     D += "type-rendering collisions differ:\n--- first\n" + A.RenderText +
          "--- second\n" + B.RenderText;
   if (A.VerifyText != B.VerifyText || A.RanVM != B.RanVM ||
-      A.VmDiff != B.VmDiff)
+      A.VmDiff != B.VmDiff || A.VmCollections != B.VmCollections)
     D += "vm outcome differs; ";
   return D;
 }
@@ -242,6 +261,7 @@ FuzzOutcome mpc::runFuzzCase(CompilerContext &WarmComp, const FuzzCase &C,
       ++Stats.DiagsSeen;
   if (Cold.RanVM)
     ++Stats.VmRuns;
+  Stats.VmCollections += Cold.VmCollections;
 
   if (!Cold.CheckText.empty())
     Stats.Violations.push_back(

@@ -3,10 +3,10 @@
 /// \file
 /// Deterministic full-pipeline fuzzing harness. Feeds seeded generator
 /// families (valid and adversarial) through lex -> parse -> type ->
-/// transforms (TreeChecker after every group) -> codegen, then runs each
-/// clean program on both engines: the tree-walker and, after linkProgram
-/// verifies it, the bytecode VM. It checks the totality properties the
-/// compile service depends on:
+/// transforms (TreeChecker after every group) -> codegen, then links, and
+/// so verifies, each clean program and runs its main RunsPerCase times on
+/// both engines: the tree-walker and the bytecode VM. It checks the
+/// totality properties the compile service depends on:
 ///
 ///   1. no input crashes the compiler — invalid programs produce
 ///      diagnostics, never aborts or unhandled exceptions;
@@ -17,7 +17,9 @@
 ///      byte-identical to a cold context;
 ///   4. the compiler's own invariants hold — the TreeChecker finds
 ///      nothing, the verifier accepts every generated method, the VM
-///      matches the tree-walker byte for byte, and after a clean compile
+///      matches the tree-walker byte for byte on every run of the
+///      sequence (module state carries over, and the VM may collect its
+///      heap between runs), and after a clean compile
 ///      distinct interned types render to distinct strings (the typed
 ///      dumps every differential test compares are only as faithful as
 ///      that rendering).
@@ -38,6 +40,9 @@
 
 namespace mpc {
 
+/// Runs of main per clean case, on one tree-walker and one VM.
+constexpr unsigned RunsPerCase = 3;
+
 /// One fuzz input: a (family, seed) pair at a given size scale.
 struct FuzzCase {
   Family F = Family::Mixed;
@@ -57,7 +62,8 @@ struct FuzzOutcome {
   std::string CheckText;  // TreeChecker findings, one "phase: msg" a line
   std::string VerifyText; // verifier findings from linkProgram
   bool RanVM = false;     // the linked program ran in the VM
-  std::string VmDiff;     // how the VM differed from the tree-walker
+  std::string VmDiff;     // first run at which the VM differed, and how
+  uint64_t VmCollections = 0; // VM heap collections over the runs
   std::string RenderText; // renderings shared by distinct types (clean)
 
   bool operator==(const FuzzOutcome &O) const {
@@ -66,7 +72,7 @@ struct FuzzOutcome {
            Uncaught == O.Uncaught && Error == O.Error &&
            CheckText == O.CheckText && VerifyText == O.VerifyText &&
            RanVM == O.RanVM && VmDiff == O.VmDiff &&
-           RenderText == O.RenderText;
+           VmCollections == O.VmCollections && RenderText == O.RenderText;
   }
 };
 
@@ -87,6 +93,7 @@ struct FuzzStats {
   uint64_t ErrorCompiles = 0;
   uint64_t DiagsSeen = 0;
   uint64_t VmRuns = 0; // cases whose linked program ran in the VM
+  uint64_t VmCollections = 0; // VM heap collections, all cases
   std::vector<FuzzViolation> Violations;
 
   bool ok() const { return Violations.empty(); }
@@ -98,8 +105,9 @@ std::string renderDiags(const DiagnosticEngine &Diags);
 
 /// Compiles \p Sources on \p Comp with the standard fused pipeline and
 /// the TreeChecker on. When the compile is clean it checks that the
-/// context's interned types render apart and, when it has an entry
-/// point, runs it on the tree-walker, links it, and runs it in the VM.
+/// context's interned types render apart, links it and, when it has an
+/// entry point, runs main RunsPerCase times on one tree-walker and on one
+/// VM, comparing each pair of runs.
 /// Exceptions are captured into the outcome instead of escaping. The
 /// caller owns context hygiene (reset() between jobs); all pipeline
 /// outputs are destroyed before this returns, so a reset() directly after

@@ -18,6 +18,7 @@
 #include "memsim/PagePool.h"
 #include "support/CancelToken.h"
 #include "support/OStream.h"
+#include "workload/Corpus.h"
 #include "workload/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
@@ -700,6 +701,13 @@ object Main {
       if (args(0) == "throw") {
         try { throw new Boom("boom") } finally { print("cleanup ") }
       }
+      if (args(0) == "fill") {
+        var s = "x"
+        var i = 0
+        while (i < 19) { s = s + s; i = i + 1 }
+        println(s.length)
+        spin()
+      }
     }
     println("done " + 2.5)
   }
@@ -739,6 +747,127 @@ object Main {
   }
   EXPECT_EQ(fromResult(VM(Comp, Linked, Limit).runMain(Entry)).Output,
             "start 0\ndone 2.5\n");
+
+  // A run that fills the heap past the collection floor and ends in the
+  // step limit; the next run collects at entry and still equals a fresh
+  // VM's, and the heap is back under the floor.
+  const char *Collections = "backend.vm.gc.collections";
+  ExecResult Filled = Reused.runMain(Entry, {"fill"});
+  EXPECT_EQ(Filled.Error, "step limit exceeded");
+  EXPECT_EQ(Filled.Output, "start 1\n524288\n");
+  EXPECT_GT(Reused.heapBytes(), VM::CollectFloorBytes);
+  const uint64_t Before = Comp.stats().get(Collections);
+  ExecResult After = Reused.runMain(Entry, {"x"});
+  EXPECT_EQ(Comp.stats().get(Collections), Before + 1);
+  EXPECT_LT(Reused.heapBytes(), VM::CollectFloorBytes);
+  VM Fresh(Comp, Linked, Limit);
+  Fresh.runMain(Entry);
+  ExecResult Want = Fresh.runMain(Entry, {"x"});
+  EXPECT_TRUE(sameResult(After, Want))
+      << describe(After) << " vs " << describe(Want);
+}
+
+TEST(VMDirected, HeapIndependentOfRunCount) {
+  // The two run-vm programs whose VM heaps grew with the run count:
+  // strings from Concat, and short-lived objects. Between 1,000 and
+  // 50,000 runs the heap may differ only by the garbage that the floor
+  // lets pile up before the next collection.
+  for (const char *Name : {"classof_and_super", "nested_outer"}) {
+    SCOPED_TRACE(Name);
+    const CorpusProgram *P = findCorpusProgram(Name);
+    ASSERT_NE(P, nullptr);
+    CompilerContext Comp;
+    CompileOutput Out = compile(Comp, {{P->Name + ".scala", P->Source}});
+    ASSERT_FALSE(Out.EntryPoints.empty());
+    LinkedProgram Linked = linkProgram(Out.Prog, Comp);
+    ASSERT_TRUE(Linked.Failures.empty());
+    VM M(Comp, Linked);
+    size_t HeapAt1k = 0;
+    size_t Wrong = 0;
+    for (int Run = 1; Run <= 50'000; ++Run) {
+      Wrong += M.runMain(Out.EntryPoints.front()).Output != P->ExpectedOutput;
+      if (Run == 1'000)
+        HeapAt1k = M.heapBytes();
+    }
+    EXPECT_EQ(Wrong, 0u);
+    const size_t HeapAt50k = M.heapBytes();
+    EXPECT_LE(std::max(HeapAt1k, HeapAt50k) - std::min(HeapAt1k, HeapAt50k),
+              VM::CollectFloorBytes)
+        << HeapAt1k << " vs " << HeapAt50k;
+    EXPECT_LE(HeapAt50k, 2 * VM::CollectFloorBytes);
+    EXPECT_GT(Comp.stats().get("backend.vm.gc.collections"), 10u);
+  }
+}
+
+TEST(VMDirected, ModuleStateSurvivesCollection) {
+  // Module fields carry objects, an array of strings, a shared and a
+  // cyclic reference, a closure, a lazy val and a constant string from
+  // run to run, while each run makes garbage. Every run must equal the
+  // tree-walker's run at the same position in the sequence.
+  const char *Source = R"(
+class Node(val name: String, var next: Node)
+class Tally(var count: Int, var label: String)
+object Main {
+  var runs: Int = 0
+  var names: Array[String] = new Array[String](4)
+  var ring: Node = null
+  var shared: Node = null
+  var tally: Tally = new Tally(0, "t")
+  var fmt: (Int) => String = null
+  val konst: String = "const"
+  lazy val banner: String = { println("init banner"); "lazy " + konst }
+  def main(args: Array[String]): Unit = {
+    runs = runs + 1
+    var junk = ""
+    var i = 0
+    while (i < 60) { junk = "garbage " + i + " of run " + runs; i = i + 1 }
+    names(runs % 4) = "name" + runs
+    if (ring == null) {
+      ring = new Node("a", null)
+      ring.next = new Node("b", ring)
+    }
+    if (runs % 3 == 0) ring = ring.next
+    shared = ring.next
+    tally.count = tally.count + junk.length
+    tally.label = tally.label + runs % 10
+    if (runs % 5 == 1) {
+      val base = runs
+      fmt = (x: Int) => "f" + base + ":" + x
+    }
+    println(runs + " " + names(0) + " " + names(1) + " " + names(2) + " " + names(3))
+    println(ring.name + ring.next.name + ring.next.next.name + " " + (shared.next == ring))
+    println(tally.count + " " + tally.label.length + " " + fmt(runs))
+    println(banner + " " + konst)
+    // The tree-walker's values are reference-counted: break the cycle.
+    if (args.length > 0) ring.next.next = null
+  }
+}
+)";
+  CompilerContext Comp;
+  std::vector<SourceInput> Sources;
+  Sources.push_back({"vm.scala", Source});
+  CompileOutput Out = compile(Comp, std::move(Sources));
+  ASSERT_FALSE(Out.EntryPoints.empty());
+  Symbol *Entry = Out.EntryPoints.front();
+  for (bool Super : {true, false}) {
+    SCOPED_TRACE(Super ? "superinstructions" : "base opcodes");
+    LinkOptions LO;
+    LO.Superinstructions = Super;
+    LinkedProgram Linked = linkProgram(Out.Prog, Comp, LO);
+    ASSERT_TRUE(Linked.Failures.empty());
+    Interpreter Oracle(Comp, Out.Units);
+    VM M(Comp, Linked);
+    const uint64_t Before = Comp.stats().get("backend.vm.gc.collections");
+    for (int Run = 1; Run <= 200; ++Run) {
+      Outcome Want = fromResult(Oracle.runMain(Entry));
+      Outcome Got = fromResult(M.runMain(Entry));
+      ASSERT_EQ(Want, Got) << "run " << Run;
+      ASSERT_FALSE(Got.Uncaught) << Got.Error;
+    }
+    EXPECT_GE(Comp.stats().get("backend.vm.gc.collections") - Before, 3u);
+    EXPECT_EQ(fromResult(Oracle.runMain(Entry, {"last"})),
+              fromResult(M.runMain(Entry, {"last"})));
+  }
 }
 
 } // namespace

@@ -131,14 +131,16 @@ int main(int Argc, char **Argv) {
 
   std::printf("mpc_fuzz: %llu cases (%llu families x %llu seeds), "
               "%llu clean, %llu with diagnostics, %llu diagnostic lines, "
-              "%llu VM runs\n",
+              "%llu VM runs (x%u), "
+              "%llu backend.vm.gc.collections\n",
               static_cast<unsigned long long>(Stats.CasesRun),
               static_cast<unsigned long long>(Families.size()),
               static_cast<unsigned long long>(NumSeeds),
               static_cast<unsigned long long>(Stats.CleanCompiles),
               static_cast<unsigned long long>(Stats.ErrorCompiles),
               static_cast<unsigned long long>(Stats.DiagsSeen),
-              static_cast<unsigned long long>(Stats.VmRuns));
+              static_cast<unsigned long long>(Stats.VmRuns), RunsPerCase,
+              static_cast<unsigned long long>(Stats.VmCollections));
   if (Stats.ok()) {
     std::printf("mpc_fuzz: all properties held (no crashes, deterministic, "
                 "warm == cold, trees check, bytecode verifies, "
