@@ -3,21 +3,39 @@
 #include "ast/TreeUtils.h"
 
 #include <cassert>
+#include <cstdint>
 #include <map>
 
 using namespace mpc;
 
 namespace {
+/// Scratch buffers one generateCode call reuses for every method: a
+/// method is emitted here, then copied out at its exact size.
+struct MethodScratch {
+  std::vector<Instr> Code;
+  std::vector<Handler> Handlers;
+};
+
 /// Per-method bytecode emitter.
 class MethodEmitter {
 public:
-  MethodEmitter(CompilerContext &Comp, MethodCode &Out)
-      : Comp(Comp), Out(Out) {}
+  MethodEmitter(CompilerContext &Comp, StringPool &Strings,
+                MethodScratch &Out)
+      : Comp(Comp), Strings(Strings), Out(Out) {
+    Out.Code.clear();
+    Out.Handlers.clear();
+  }
 
-  void emitBody(Tree *Body) {
+  /// Emits \p Body; returns false when a call in it has more arguments
+  /// than an instruction holds (reported as a compile error).
+  bool emitBody(Tree *Body) {
     genExpr(Body);
     emit(Op::ReturnValue);
+    return !ArgOverflow;
   }
+
+  /// Locals the body declared (ValDefs in blocks).
+  uint32_t NumLocals = 0;
 
 private:
   uint32_t here() const { return static_cast<uint32_t>(Out.Code.size()); }
@@ -27,6 +45,24 @@ private:
     I.Code = Code;
     Out.Code.push_back(I);
     return Out.Code.back();
+  }
+
+  /// Emits a call that pops \p NumArgs arguments. This is the one place
+  /// an argument count narrows to Instr::ArgCount: a call that does not
+  /// fit is a compile error, never a silently truncated count.
+  Instr &emitCall(Op Code, Symbol *Sym, unsigned NumArgs, Tree *Call) {
+    if (NumArgs > UINT16_MAX) {
+      Comp.diags().error(Call->loc(),
+                         "call passes " + std::to_string(NumArgs) +
+                             " arguments; bytecode allows at most " +
+                             std::to_string(UINT16_MAX));
+      ArgOverflow = true;
+      NumArgs = 0;
+    }
+    Instr &I = emit(Code);
+    I.Sym = Sym;
+    I.ArgCount = static_cast<uint16_t>(NumArgs);
+    return I;
   }
 
   void genStat(Tree *T) {
@@ -96,7 +132,7 @@ private:
         emit(Op::ConstDouble).Num = C.doubleValue();
         break;
       case Constant::Str:
-        emit(Op::ConstStr).Str = C.stringValue().str();
+        emit(Op::ConstStr).Str = Strings.intern(C.stringValue().text());
         break;
       case Constant::Null:
         emit(Op::ConstNull);
@@ -144,9 +180,7 @@ private:
       auto *N = cast<New>(T);
       for (unsigned I = 0; I < N->numArgs(); ++I)
         genExpr(N->arg(I));
-      Instr &I = emit(Op::NewObject);
-      I.Sym = N->classTy()->classSymbol();
-      I.ArgCount = N->numArgs();
+      emitCall(Op::NewObject, N->classTy()->classSymbol(), N->numArgs(), N);
       return;
     }
     case TreeKind::Assign: {
@@ -175,7 +209,7 @@ private:
             emitDefault(VD->sym()->info()); // interpreter binds the
                                             // type default here
           emit(Op::Store).Sym = VD->sym();
-          ++Out.MaxLocals;
+          ++NumLocals;
           continue;
         }
         assert(!isa<DefDef>(Stat) &&
@@ -410,26 +444,24 @@ private:
         genExpr(Sel->qual());
         for (unsigned I = 0; I < T->numArgs(); ++I)
           genExpr(T->arg(I));
-        Instr &I = emit(Op::InvokeSuper);
-        I.Sym = Sym;
-        I.SuperCls = Sup->target();
-        I.ArgCount = T->numArgs();
+        emitCall(Op::InvokeSuper, Sym, T->numArgs(), T).SuperCls =
+            Sup->target();
         return;
       }
       // Plain virtual dispatch.
       genExpr(Sel->qual());
       for (unsigned I = 0; I < T->numArgs(); ++I)
         genExpr(T->arg(I));
-      Instr &I = emit(Op::InvokeVirt);
-      I.Sym = Sym;
-      I.ArgCount = T->numArgs();
+      emitCall(Op::InvokeVirt, Sym, T->numArgs(), T);
       return;
     }
     assert(false && "unexpected function shape in backend");
   }
 
   CompilerContext &Comp;
-  MethodCode &Out;
+  StringPool &Strings;
+  MethodScratch &Out;
+  bool ArgOverflow = false;
   struct LabelInfo {
     uint32_t Pc = 0;
     /// Finalizers.size() when the label was defined — a Goto back to it
@@ -444,13 +476,10 @@ private:
 
 } // namespace
 
-/// A Super qualifier evaluates to `this`.
-static void noteSuper() {}
-
 Program mpc::generateCode(const std::vector<CompilationUnit> &Units,
                           CompilerContext &Comp) {
-  noteSuper();
   Program Prog;
+  MethodScratch Scratch;
   for (const CompilationUnit &Unit : Units) {
     if (!Unit.Root)
       continue;
@@ -474,11 +503,18 @@ Program mpc::generateCode(const std::vector<CompilationUnit> &Units,
           continue;
         MethodCode MC;
         MC.Method = DD->sym();
+        MC.Params.reserve(DD->numParamsTotal());
         for (unsigned I = 0; I < DD->numParamsTotal(); ++I)
           MC.Params.push_back(cast<ValDef>(DD->paramAt(I))->sym());
-        MC.MaxLocals = DD->numParamsTotal() + 1;
-        MethodEmitter ME(Comp, MC);
-        ME.emitBody(DD->rhs());
+        MethodEmitter ME(Comp, Prog.Strings, Scratch);
+        // A method with an unencodable call keeps an empty body, which
+        // the verifier refuses, so it can never be linked and run.
+        if (ME.emitBody(DD->rhs())) {
+          MC.Code.assign(Scratch.Code.begin(), Scratch.Code.end());
+          MC.Handlers.assign(Scratch.Handlers.begin(),
+                             Scratch.Handlers.end());
+        }
+        MC.MaxLocals = DD->numParamsTotal() + 1 + ME.NumLocals;
         CF.Methods.push_back(std::move(MC));
       }
       Prog.Classes.push_back(std::move(CF));

@@ -2,6 +2,7 @@
 
 #include "ast/TreeUtils.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <functional>
@@ -88,6 +89,40 @@ struct InterpError {
 
 using Frame = std::map<Symbol *, Value>;
 
+/// The objects or arrays one interpreter allocated, as weak references.
+/// Values are reference-counted, so a guest cycle (two objects that point
+/// at each other from a module field) never expires on its own; clear()
+/// breaks every cycle by emptying what is still alive. An expired entry
+/// keeps its value's block (make_shared puts the count beside the value)
+/// until it is pruned, which happens each time the list doubles, so a
+/// long run's list stays proportional to its live values.
+template <typename T> class Allocations {
+public:
+  std::shared_ptr<T> make() {
+    if (Refs.size() >= PruneAt) {
+      std::erase_if(Refs,
+                    [](const std::weak_ptr<T> &W) { return W.expired(); });
+      PruneAt = std::max<size_t>(MinPrune, 2 * Refs.size());
+    }
+    auto P = std::make_shared<T>();
+    Refs.push_back(P);
+    return P;
+  }
+
+  /// Empties every live value with \p Clear.
+  template <typename F> void clear(F Clear) {
+    for (const std::weak_ptr<T> &W : Refs)
+      if (std::shared_ptr<T> P = W.lock())
+        Clear(*P);
+    Refs.clear();
+  }
+
+private:
+  static constexpr size_t MinPrune = 1024;
+  std::vector<std::weak_ptr<T>> Refs;
+  size_t PruneAt = MinPrune;
+};
+
 } // namespace
 
 class Interpreter::Impl {
@@ -104,13 +139,18 @@ public:
     }
   }
 
+  ~Impl() {
+    Objects.clear([](ObjVal &O) { O.Fields.clear(); });
+    Arrays.clear([](ArrVal &A) { A.Elems.clear(); });
+  }
+
   ExecResult runMain(Symbol *Entry, const std::vector<std::string> &Args) {
     ExecResult R;
     Output.clear();
     Steps = 0;
     try {
       Value Module = moduleInstance(cast<ClassSymbol>(Entry->owner()));
-      auto ArgArr = std::make_shared<ArrVal>();
+      auto ArgArr = Arrays.make();
       for (const std::string &A : Args)
         ArgArr->Elems.push_back(Value::str(A));
       Value ArgsVal;
@@ -197,7 +237,7 @@ private:
   Value objectShell(ClassSymbol *Cls) {
     Value V;
     V.Kind = Value::Obj;
-    V.O = std::make_shared<ObjVal>();
+    V.O = Objects.make();
     V.O->Cls = Cls;
     // Default-initialize declared fields (incl. inherited).
     std::function<void(ClassSymbol *)> InitFields = [&](ClassSymbol *C) {
@@ -420,7 +460,7 @@ private:
       auto *S = cast<SeqLiteral>(T);
       Value V;
       V.Kind = Value::Arr;
-      V.A = std::make_shared<ArrVal>();
+      V.A = Arrays.make();
       for (unsigned I = 0; I < S->numKids(); ++I)
         V.A->Elems.push_back(eval(S->kid(I), F, Self));
       return V;
@@ -459,7 +499,7 @@ private:
   Value makeError(const std::string &Msg) {
     Value V;
     V.Kind = Value::Obj;
-    V.O = std::make_shared<ObjVal>();
+    V.O = Objects.make();
     V.O->Cls = Comp.syms().throwableClass();
     Symbol *MsgField = Comp.syms().throwableClass()->findDeclaredMember(
         Comp.syms().std().Message);
@@ -470,7 +510,7 @@ private:
   Value builtinNew(ClassSymbol *Cls, const std::vector<Value> &Args) {
     Value V;
     V.Kind = Value::Obj;
-    V.O = std::make_shared<ObjVal>();
+    V.O = Objects.make();
     V.O->Cls = Cls;
     SymbolTable &Syms = Comp.syms();
     if (Cls == Syms.throwableClass() && !Args.empty()) {
@@ -734,7 +774,7 @@ private:
         Value Len = eval(T->arg(0), F, Self);
         Value V;
         V.Kind = Value::Arr;
-        V.A = std::make_shared<ArrVal>();
+        V.A = Arrays.make();
         V.A->Elems.assign(static_cast<size_t>(Len.I),
                           defaultValue(TApp->typeArgs()[0]));
         return V;
@@ -935,6 +975,8 @@ private:
   uint64_t Steps = 0;
   std::map<ClassSymbol *, ClassDef *> Classes;
   std::map<ClassSymbol *, Value> Modules;
+  Allocations<ObjVal> Objects;
+  Allocations<ArrVal> Arrays;
   /// (class, case field) -> the stand-in field symbol instances of that
   /// class actually carry (or null when none matches by name).
   std::map<std::pair<ClassSymbol *, Symbol *>, Symbol *> CaseFieldMemo;

@@ -5,7 +5,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <map>
 
 using namespace mpc;
 
@@ -276,10 +275,8 @@ private:
         }
   }
 
-  const VMString *poolStr(const std::string &S) {
-    auto It = StrIndex.find(S);
-    if (It != StrIndex.end())
-      return It->second;
+  /// Copies \p S into a new ConstString block of the linked program.
+  const VMString *newStr(std::string_view S) {
     auto Block = std::make_unique_for_overwrite<char[]>(sizeof(VMString) +
                                                          S.size());
     auto *P = reinterpret_cast<VMString *>(Block.get());
@@ -288,14 +285,23 @@ private:
     P->Len = S.size();
     std::memcpy(Block.get() + sizeof(VMString), S.data(), S.size());
     LP.StrPool.push_back(std::move(Block));
-    StrIndex.emplace(S, P);
+    return P;
+  }
+
+  /// One block per Program pool entry: CodeGen deduplicated the texts,
+  /// so the entry's address is the key.
+  const VMString *constStr(StrRef S) {
+    if (const VMString **Found = ConstStrs.find(S.entry()))
+      return *Found;
+    const VMString *P = newStr(S.str());
+    ConstStrs.insert(S.entry(), P);
     return P;
   }
 
   LInstr errInstr(const std::string &Msg) {
     LInstr L;
     L.Code = LOp::LinkError;
-    L.Imm.P = poolStr(Msg);
+    L.Imm.P = newStr(Msg);
     return L;
   }
 
@@ -330,9 +336,8 @@ private:
   LInstr routeInvoke(const Instr &I) {
     SymbolTable &Syms = Comp.syms();
     Symbol *Sym = I.Sym;
-    uint16_t Argc = static_cast<uint16_t>(I.ArgCount);
     LInstr L;
-    L.B = Argc;
+    L.B = I.ArgCount;
     if (!Sym)
       return errInstr("cannot call this function shape");
     // 1. Primitive operators (eager here: && / || survivors).
@@ -488,7 +493,7 @@ private:
         break;
       case Op::ConstStr:
         L.Code = LOp::ConstStr;
-        L.Imm.P = poolStr(I.Str);
+        L.Imm.P = constStr(I.Str);
         break;
       case Op::ConstNull:
         L.Code = LOp::ConstNull;
@@ -546,7 +551,7 @@ private:
         LClass *LC = ensureClass(Cls);
         L.Code = Cls->is(SymFlag::Builtin) ? LOp::NewBuiltin : LOp::NewObject;
         L.A = LC->Index;
-        L.B = static_cast<uint16_t>(I.ArgCount);
+        L.B = I.ArgCount;
         break;
       }
       case Op::InvokeVirt:
@@ -756,7 +761,7 @@ private:
   LinkedProgram LP;
   FlatPtrMap<ClassSymbol *, const ClassFile *> FileOf;
   FlatPtrMap<MethodCode *, LMethod *> MethodOf;
-  std::map<std::string, const VMString *> StrIndex;
+  FlatPtrMap<const std::string *, const VMString *> ConstStrs;
 };
 
 } // namespace

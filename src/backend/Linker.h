@@ -230,8 +230,9 @@ struct LinkedProgram {
   std::vector<std::unique_ptr<LClass>> Classes;
   std::vector<std::unique_ptr<LMethod>> Methods;
   FlatPtrMap<ClassSymbol *, LClass *> ClassBySym;
-  /// ConstStr and LinkError payloads, one block per distinct text, each
-  /// a VMString tagged ConstString followed by its bytes.
+  /// ConstStr and LinkError payloads, each a VMString tagged ConstString
+  /// followed by its bytes: one block per Program pool entry a ConstStr
+  /// names, and one per LinkError.
   std::vector<std::unique_ptr<char[]>> StrPool;
   std::vector<CallSite> CallSites;
   std::vector<FieldSite> FieldSites;

@@ -35,6 +35,8 @@ bool stackEffect(const Instr &I, uint32_t &Pops, uint32_t &Pushes) {
     Pops = 1; Pushes = 1; return true;
   case Op::PutField:
     Pops = 2; Pushes = 0; return true;
+  // ArgCount is the real count: CodeGen refuses a call whose arguments
+  // do not fit its 16 bits rather than truncate them.
   case Op::NewObject:
     Pops = I.ArgCount; Pushes = 1; return true;
   case Op::InvokeVirt:
