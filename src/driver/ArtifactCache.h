@@ -66,7 +66,7 @@ struct CacheConfig {
 };
 
 /// What the cache replays: a finished BatchResult. Its per-request
-/// fields (DequeueSeq, Timings.QueueWaitSec) are overwritten by the
+/// field (Timings.QueueWaitSec) is overwritten by the
 /// service on every delivery, replays included.
 using CachedArtifact = BatchResult;
 

@@ -22,13 +22,17 @@ using namespace mpc;
 //
 //   Mixed into the key (affect dumps, diagnostics, or the simulated
 //   HeapStats the cache replays):
-//     FuseMiniphases   fusion changes node lifetimes -> HeapStats
 //     CheckTrees       checker failures surface in output
-//     AlwaysCopy       copier baseline changes allocation clock
 //     IdentitySkip     node reuse changes allocation clock
 //     SubtreePruning   observationally identical, but mixed anyway so the
 //                      pruning ablation never shares entries (conservative)
 //     Strategy         dispatch strategy, mixed conservatively
+//
+//   Derived from Kind (compileProgram overwrites both from the job's
+//   PipelineKind, which jobKeyFor mixes in, so the job's own values never
+//   reach the compile):
+//     FuseMiniphases   set to Kind == StandardFused
+//     AlwaysCopy       set to Kind == Legacy
 //
 //   Cache-IRRELEVANT (excluded deliberately):
 //     SlabHeap         selects the real-storage backend only; the
@@ -45,10 +49,8 @@ static_assert(sizeof(CompilerOptions) == 12,
 namespace {
 
 Fingerprint optionsFingerprint(const CompilerOptions &O) {
-  const unsigned char Bits[6] = {
-      static_cast<unsigned char>(O.FuseMiniphases),
+  const unsigned char Bits[4] = {
       static_cast<unsigned char>(O.CheckTrees),
-      static_cast<unsigned char>(O.AlwaysCopy),
       static_cast<unsigned char>(O.IdentitySkip),
       static_cast<unsigned char>(O.SubtreePruning),
       static_cast<unsigned char>(O.Strategy),
@@ -66,9 +68,9 @@ Fingerprint mpc::fingerprintSource(const SourceInput &Source) {
 JobKey mpc::jobKeyFor(const BatchJob &Job) {
   // Domain tag so a JobKey can never collide with a bare source
   // fingerprint someone stores in the same table. Note what is absent
-  // below: BatchJob::Priority and DeadlineSec are scheduling metadata
-  // with no effect on the compiled output, so jobs differing only in
-  // them deliberately share one cache entry.
+  // below: BatchJob::DeadlineSec is scheduling metadata with no effect
+  // on the compiled output, so jobs differing only in it deliberately
+  // share one cache entry.
   Fingerprint FP = fingerprintUInt(0x4a4f424bu /* "JOBK" */);
   // Order-sensitive fold: unit order assigns file ids and shapes output.
   for (const SourceInput &S : Job.Sources)

@@ -30,21 +30,12 @@
 
 namespace mpc {
 
-/// Scheduling class of a job in the compile service's admission queue.
-/// Interactive jobs (IDE requests, incremental rebuilds) jump ahead of
-/// Batch jobs, subject to the anti-starvation burst cap
-/// (CompileService::InteractiveBurst).
-enum class JobPriority : uint8_t {
-  Interactive,
-  Batch,
-};
-
 /// How a job's run ended. Everything except Ok also sets
 /// BatchResult::HadErrors with an explanatory DiagText.
 enum class JobStatus : uint8_t {
   /// Compiled (possibly with source-level diagnostics).
   Ok,
-  /// Never compiled: refused or shed by the service's admission control.
+  /// Never compiled: refused by the service's admission control.
   Rejected,
   /// Cancelled at a checkpoint after its soft deadline expired (or spent
   /// the whole deadline waiting in the queue). The context unwinds
@@ -67,14 +58,10 @@ struct BatchJob {
   /// BatchResult::DumpText. This is how results stay comparable when the
   /// service recycles contexts (the trees themselves die with the shell).
   bool WantDump = false;
-  /// Queue lane in the compile service (ignored by plain compileBatch).
-  /// Scheduling metadata only — deliberately NOT part of the JobKey, so
-  /// an interactive job can replay a batch job's cached artifact.
-  JobPriority Priority = JobPriority::Batch;
   /// Soft deadline in seconds, measured from enqueue (so queue wait
   /// counts against it); 0 = none. Enforced cooperatively at phase
-  /// boundaries — see CompilerContext::checkpoint(). Cache-irrelevant,
-  /// like Priority.
+  /// boundaries — see CompilerContext::checkpoint(). Scheduling metadata
+  /// only — deliberately NOT part of the JobKey.
   double DeadlineSec = 0;
 };
 
@@ -123,10 +110,6 @@ struct BatchResult {
   HeapStats Heap;
   /// Per-stage compile times; QueueWaitSec is set by the service.
   CompileTimings Timings;
-  /// Order this job was taken off the service queue (0-based, service
-  /// lifetime scope) — makes the priority-lane schedule observable to
-  /// tests. Stays 0 for jobs that never reached a worker (rejected/shed).
-  uint64_t DequeueSeq = 0;
 };
 
 /// Compiles one job in \p Comp, a context owned by the caller, and

@@ -146,13 +146,11 @@ void CompileService::markCompleted() {
 namespace {
 
 /// The result of a job that never reached the compiler.
-BatchResult refusedResult(JobStatus Status, const char *Why,
-                          double QueueWaitSec) {
+BatchResult refusedResult(JobStatus Status, const char *Why) {
   BatchResult R;
   R.Status = Status;
   R.HadErrors = true;
   R.DiagText = std::string("error: ") + Why + "\n";
-  R.Timings.QueueWaitSec = QueueWaitSec;
   return R;
 }
 
@@ -165,57 +163,28 @@ double secondsSince(std::chrono::steady_clock::time_point T) {
 
 AdmitResult CompileService::tryEnqueue(BatchJob Job) {
   AdmitResult A;
-  // Jobs displaced by ShedOldest; completed once M is released.
-  std::vector<QueuedJob> Shed;
   {
     std::lock_guard<std::mutex> Lock(M);
     if (Stopping)
       return A; // refused: no id, no result owed
-    if (Cfg.MaxQueueDepth != 0 && queueDepthLocked() >= Cfg.MaxQueueDepth) {
-      switch (Cfg.Policy) {
-      case QueuePolicy::RejectNewest:
-        // The arrival is refused but still owns an id: its Rejected
-        // result completes below, so the id sequence has no gaps.
-        ++JobsRejected;
-        A.Id = NextJobId++;
-        break;
-      case QueuePolicy::ShedOldest:
-        // Make room by completing the oldest queued job as Rejected —
-        // batch lane first, so interactive work is the last to be shed.
-        while (queueDepthLocked() >= Cfg.MaxQueueDepth) {
-          std::deque<QueuedJob> &Lane =
-              !BatchLane.empty() ? BatchLane : InteractiveLane;
-          Shed.push_back(std::move(Lane.front()));
-          Lane.pop_front();
-        }
-        JobsShed += Shed.size();
-        A.JobsShed = Shed.size();
-        break;
-      }
-    }
-    if (A.Id == InvalidJobId) {
-      A.Id = NextJobId++;
+    // Refused or not, the arrival owns an id: a refusal's Rejected result
+    // completes below, so the id sequence has no gaps.
+    A.Id = NextJobId++;
+    if (Cfg.MaxQueueDepth != 0 && Queue.size() >= Cfg.MaxQueueDepth) {
+      ++JobsRejected;
+    } else {
       A.Accepted = true;
-      std::deque<QueuedJob> &Lane =
-          Job.Priority == JobPriority::Interactive ? InteractiveLane
-                                                   : BatchLane;
-      Lane.push_back(
+      Queue.push_back(
           QueuedJob{A.Id, std::move(Job), std::chrono::steady_clock::now()});
-      if (queueDepthLocked() > QueueDepthPeak)
-        QueueDepthPeak = queueDepthLocked();
+      if (Queue.size() > QueueDepthPeak)
+        QueueDepthPeak = Queue.size();
     }
   }
   if (A.Accepted)
     QueueCv.notify_one();
   else
     complete(A.Id, refusedResult(JobStatus::Rejected,
-                                 "compile job rejected: queue full", 0));
-  for (QueuedJob &Victim : Shed)
-    complete(Victim.Id,
-             refusedResult(
-                 JobStatus::Rejected,
-                 "compile job shed: queue full, displaced by a newer job",
-                 secondsSince(Victim.EnqueuedAt)));
+                                 "compile job rejected: queue full"));
   return A;
 }
 
@@ -227,34 +196,19 @@ void CompileService::workerMain(unsigned WorkerIdx) {
   StatsSheaf &Sheaf = *Sheaves[WorkerIdx];
   while (true) {
     uint64_t Id;
-    uint64_t Seq;
     double QueueWait;
     BatchJob Job;
     {
       std::unique_lock<std::mutex> Lock(M);
-      QueueCv.wait(Lock, [this] {
-        return Stopping || !InteractiveLane.empty() || !BatchLane.empty();
-      });
-      if (InteractiveLane.empty() && BatchLane.empty())
+      QueueCv.wait(Lock, [this] { return Stopping || !Queue.empty(); });
+      if (Queue.empty())
         return; // Stopping, and nothing left to do
       // One dequeue per JOB (not per slice): whichever worker frees up
       // first takes the next job, so long jobs don't starve the rest.
-      // Lane choice: interactive first, except that after InteractiveBurst
-      // consecutive interactive takes with batch work waiting, the batch
-      // lane gets the next slot (anti-starvation).
-      bool TakeBatch =
-          !BatchLane.empty() &&
-          (InteractiveLane.empty() || SinceBatch >= InteractiveBurst);
-      std::deque<QueuedJob> &Lane = TakeBatch ? BatchLane : InteractiveLane;
-      if (TakeBatch)
-        SinceBatch = 0;
-      else
-        ++SinceBatch;
-      QueuedJob QJ = std::move(Lane.front());
-      Lane.pop_front();
+      QueuedJob QJ = std::move(Queue.front());
+      Queue.pop_front();
       Id = QJ.Id;
       Job = std::move(QJ.Job);
-      Seq = DequeueCounter++;
       QueueWait = secondsSince(QJ.EnqueuedAt);
     }
 
@@ -262,7 +216,6 @@ void CompileService::workerMain(unsigned WorkerIdx) {
     // compile-stage timings are the cached copy, the wait is this
     // request's) and hands the result to the sink.
     auto Answer = [&](BatchResult R) {
-      R.DequeueSeq = Seq;
       R.Timings.QueueWaitSec = QueueWait;
       Cfg.OnResult(Id, std::move(R));
     };
@@ -273,7 +226,7 @@ void CompileService::workerMain(unsigned WorkerIdx) {
       // the cache, so an expired job's status never depends on what
       // happens to be cached.
       Answer(refusedResult(JobStatus::DeadlineExceeded,
-                           "job deadline exceeded while queued", 0));
+                           "job deadline exceeded while queued"));
       Sheaf.add("service.jobsCompleted", 1);
       Sheaf.add("service.jobsDeadlineExceeded", 1);
     } else {
@@ -367,12 +320,12 @@ size_t CompileService::pendingJobs() const {
 
 size_t CompileService::queuedJobs() const {
   std::lock_guard<std::mutex> Lock(M);
-  return queueDepthLocked();
+  return Queue.size();
 }
 
 std::vector<BatchResult> CompileService::drain() {
   uint64_t Target;
-  uint64_t Rejected, Shed, DepthPeak;
+  uint64_t Rejected, DepthPeak;
   {
     std::unique_lock<std::mutex> Lock(M);
     Target = NextJobId;
@@ -384,7 +337,6 @@ std::vector<BatchResult> CompileService::drain() {
              (!InOrder || InOrder->readyEnd() >= Target);
     });
     Rejected = JobsRejected;
-    Shed = JobsShed;
     DepthPeak = QueueDepthPeak;
   }
   std::vector<BatchResult> Results;
@@ -404,7 +356,6 @@ std::vector<BatchResult> CompileService::drain() {
   // drain. Hits/misses accumulate through the sheaves above; the
   // admission counters are service-lifetime totals read under M.
   Stats.counter("service.jobsRejected") = Rejected;
-  Stats.counter("service.jobsShed") = Shed;
   Stats.counter("service.queueDepthPeak") = DepthPeak;
   if (Cache) {
     ArtifactCache::Stats CS = Cache->stats();

@@ -7,15 +7,12 @@
 /// Ideas on top of the old batch driver:
 ///
 ///   1. Work queue with admission control. Jobs are enqueued (including
-///      while the service is running) onto a mutex+condvar queue split
-///      into two priority lanes (Interactive ahead of Batch, with an
-///      anti-starvation burst cap); each worker dequeues ONE job at a
-///      time, so scheduling is load-balanced rather than sliced. The
-///      queue is optionally bounded (ServiceConfig::MaxQueueDepth):
-///      arrivals at a full queue are rejected or shed the oldest queued
-///      job (QueuePolicy) — admission never blocks the caller — and
-///      refused jobs complete as JobStatus::Rejected: overload degrades
-///      answers, never delivery.
+///      while the service is running) onto one mutex+condvar FIFO queue;
+///      each worker dequeues ONE job at a time, so scheduling is
+///      load-balanced rather than sliced. The queue is optionally bounded
+///      (ServiceConfig::MaxQueueDepth): an arrival at a full queue is
+///      refused — admission never blocks the caller — and completes as
+///      JobStatus::Rejected: overload degrades answers, never delivery.
 ///
 ///   1b. Deadlines and fault containment. A job's soft deadline
 ///      (BatchJob::DeadlineSec, measured from enqueue) is enforced by
@@ -56,7 +53,7 @@
 ///      CacheConfig::MaxBytes.
 ///
 /// One completion path, answer first. Every job — compiled, replayed,
-/// expired in the queue, refused or shed at admission — completes the
+/// expired in the queue, refused at admission — completes the
 /// same way. First its context-free BatchResult goes to the sink
 /// (ServiceConfig::OnResult), called without the service lock held, so
 /// the reply leaves before any bookkeeping. Then, for a job a worker
@@ -121,19 +118,6 @@ private:
   std::vector<std::unique_ptr<CompilerContext>> Free;
 };
 
-/// What the service does when a job arrives at a full queue
-/// (ServiceConfig::MaxQueueDepth). Neither policy blocks the caller.
-enum class QueuePolicy : uint8_t {
-  /// The arriving job is refused: it still gets an id and completes
-  /// immediately with JobStatus::Rejected.
-  RejectNewest,
-  /// The arriving job is admitted and the oldest *queued* job is shed in
-  /// its place (Batch lane first — interactive work is the last to go).
-  /// Shed jobs complete with JobStatus::Rejected, so every admitted job
-  /// still gets exactly one result under overload.
-  ShedOldest,
-};
-
 /// Sentinel id returned by enqueue()/tryEnqueue() after stop(): the job
 /// was not admitted and is owed no result.
 inline constexpr uint64_t InvalidJobId = ~uint64_t(0);
@@ -141,23 +125,20 @@ inline constexpr uint64_t InvalidJobId = ~uint64_t(0);
 /// What admission control decided about one tryEnqueue() call.
 struct AdmitResult {
   uint64_t Id = InvalidJobId;
-  /// False: the job was refused (queue full under RejectNewest, or the
-  /// service is stopped). When Id != InvalidJobId the refusal still
-  /// delivers a Rejected result.
+  /// False: the job was refused (queue full, or the service is
+  /// stopped). When Id != InvalidJobId the refusal still delivers a
+  /// Rejected result.
   bool Accepted = false;
-  /// Queued jobs this admission displaced (ShedOldest only).
-  uint64_t JobsShed = 0;
 };
 
 /// Service tuning knobs.
 struct ServiceConfig {
   /// Worker threads; 0 = hardware concurrency (min 1).
   unsigned Threads = 0;
-  /// Admission bound: queued-but-not-running jobs the service holds
-  /// before Policy kicks in. 0 = unbounded: every job is admitted.
+  /// Admission bound: queued-but-not-running jobs the service holds;
+  /// an arrival at a full queue is refused (JobStatus::Rejected).
+  /// 0 = unbounded: every job is admitted.
   size_t MaxQueueDepth = 0;
-  /// What to do with arrivals at a full queue (no effect while unbounded).
-  QueuePolicy Policy = QueuePolicy::RejectNewest;
   /// Warm contexts: recycle CompilerContext shells between jobs through
   /// the ContextPool. Off: every job gets a fresh context (the cold
   /// baseline). Slab pages come warm from the process's page source
@@ -166,7 +147,7 @@ struct ServiceConfig {
   /// Artifact-cache policy: consult-before-compile with LRU-bounded
   /// storage.
   CacheConfig Cache;
-  /// The completion sink: every completed job — including rejected/shed
+  /// The completion sink: every completed job — including rejected
   /// ones — is handed to this callback the moment it finishes, in
   /// *completion* order. The callback runs on the completing worker's
   /// thread (or the admitting thread for refusals), never under the
@@ -185,11 +166,6 @@ struct ServiceConfig {
 /// The persistent compile service.
 class CompileService {
 public:
-  /// Anti-starvation cap for the priority lanes: after this many
-  /// consecutive interactive dequeues while batch work waits, the next
-  /// dequeue takes from the batch lane regardless.
-  static constexpr unsigned InteractiveBurst = 3;
-
   explicit CompileService(ServiceConfig Config = ServiceConfig());
   CompileService(const CompileService &) = delete;
   CompileService &operator=(const CompileService &) = delete;
@@ -197,8 +173,8 @@ public:
   ~CompileService();
 
   /// Admission-controlled enqueue; legal at any time, from any thread,
-  /// and never blocks. Applies MaxQueueDepth/Policy at a full queue and
-  /// reports what happened. After stop() the job is refused with
+  /// and never blocks. Refuses the job at a full queue (MaxQueueDepth)
+  /// and reports what happened. After stop() the job is refused with
   /// Id == InvalidJobId.
   AdmitResult tryEnqueue(BatchJob Job);
 
@@ -231,8 +207,8 @@ public:
   /// on. Thread-safe.
   size_t pendingJobs() const;
 
-  /// Jobs currently sitting in the admission queue (both lanes, not yet
-  /// taken by a worker). Thread-safe.
+  /// Jobs currently sitting in the admission queue (not yet taken by a
+  /// worker). Thread-safe.
   size_t queuedJobs() const;
 
   /// Merged service counters: service.jobsCompleted, contextsReused,
@@ -240,7 +216,7 @@ public:
   /// (service.cacheHits/cacheMisses/cacheEvictions, and the gauges
   /// service.cacheBytes, stored bytes, and service.cacheRawBytes, the
   /// uncompressed payload they hold), the admission/robustness counters
-  /// (service.jobsRejected, jobsShed, jobsDeadlineExceeded, jobsFaulted,
+  /// (service.jobsRejected, jobsDeadlineExceeded, jobsFaulted,
   /// contextsDiscarded, queueDepthPeak), service.pagesMapped (pages the
   /// jobs' heaps took from the page source), and heap.pagesTrimmed (the
   /// pages the process-wide page source has unmapped, a gauge read at
@@ -288,10 +264,6 @@ private:
   void complete(uint64_t Id, BatchResult R);
   /// Counts one job completed and wakes drain(). Caller must not hold M.
   void markCompleted();
-  /// Queue depth across both lanes. Caller holds M.
-  size_t queueDepthLocked() const {
-    return InteractiveLane.size() + BatchLane.size();
-  }
 
   ServiceConfig Cfg;
   /// Set when Cfg.OnResult was not supplied; Cfg.OnResult then feeds it.
@@ -304,20 +276,14 @@ private:
   mutable std::mutex M;
   std::condition_variable QueueCv; // workers: queue non-empty or stopping
   std::condition_variable DoneCv;  // drain(): a job completed
-  /// The admission queue, split by JobPriority. Workers prefer the
-  /// interactive lane; SinceBatch enforces the InteractiveBurst cap so
-  /// the batch lane cannot starve.
-  std::deque<QueuedJob> InteractiveLane;
-  std::deque<QueuedJob> BatchLane;
-  unsigned SinceBatch = 0;     // interactive takes since the last batch take
-  uint64_t DequeueCounter = 0; // BatchResult::DequeueSeq source
+  /// The admission queue, taken in FIFO order.
+  std::deque<QueuedJob> Queue;
   uint64_t NextJobId = 0;
   /// Jobs whose sink call has returned.
   uint64_t CompletedJobs = 0;
   bool Stopping = false;
   // Admission counters (under M); published as gauges at drain().
   uint64_t JobsRejected = 0;
-  uint64_t JobsShed = 0;
   uint64_t QueueDepthPeak = 0;
 
   std::vector<std::unique_ptr<StatsSheaf>> Sheaves; // one per worker

@@ -157,33 +157,12 @@ CallStatus CompileClient::call(const WireRequest &Req, WireResponse &Reply) {
     }
     case MsgType::Goodbye:
       return CallStatus::Goodbye;
-    case MsgType::Pong:
-      continue; // stray keepalive answer
     default:
       ++Stats.ProtocolErrors;
       LastErr = "unexpected frame type " + std::to_string(F.RawType) +
                 " from server";
       return CallStatus::ProtoError;
     }
-  }
-}
-
-bool CompileClient::ping() {
-  std::vector<uint8_t> Out;
-  encodeBare(Out, MsgType::Ping);
-  if (!sendBytes(Out))
-    return false;
-  for (;;) {
-    Frame F;
-    CallStatus St = CallStatus::IoError;
-    if (!readFrame(F, St))
-      return false;
-    if (F.type() == MsgType::Pong)
-      return true;
-    if (F.type() == MsgType::Goodbye || F.type() == MsgType::ProtocolError)
-      return false;
-    // Anything else (a late response) is skipped — ping is single-
-    // outstanding by the class contract, so nothing is owed to it.
   }
 }
 

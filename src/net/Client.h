@@ -3,11 +3,12 @@
 /// \file
 /// Client side of the compile-service wire protocol: a blocking
 /// one-request-at-a-time connection with the fault-tolerance half of the
-/// end-to-end story — reconnect on broken connections, exponential
-/// backoff with deterministic jitter, and RetryAfter hints honored as a
-/// floor on the next delay. The retry loop only ever replays *compiles*,
-/// which are pure (same sources, same output), so resending after a torn
-/// connection cannot double-apply anything.
+/// end-to-end story — reconnect on broken connections (including one
+/// the server reaped while idle), exponential backoff with deterministic
+/// jitter, and RetryAfter hints honored as a floor on the next delay.
+/// The retry loop only ever replays *compiles*, which are pure (same
+/// sources, same output), so resending after a torn connection cannot
+/// double-apply anything.
 ///
 /// The load generator (LoadGen.h) drives many of these, one per worker,
 /// to put an open-loop arrival schedule on a server.
@@ -88,9 +89,6 @@ public:
   /// reconnect and resend. Gives up after MaxRetries extra attempts.
   bool compile(const WireRequest &Req, WireResponse &Reply,
                std::string &Err);
-
-  /// Round-trips a Ping (keepalive; tests use it to defeat idle reap).
-  bool ping();
 
   /// Diagnosis of the last IoError/ProtoError.
   const std::string &error() const { return LastErr; }

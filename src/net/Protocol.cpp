@@ -111,7 +111,7 @@ void putFrame(std::vector<uint8_t> &Out, const std::vector<uint8_t> &Body) {
 
 bool net::isKnownMsgType(uint8_t Raw) {
   return Raw >= static_cast<uint8_t>(MsgType::Hello) &&
-         Raw <= static_cast<uint8_t>(MsgType::Pong);
+         Raw <= static_cast<uint8_t>(MsgType::Goodbye);
 }
 
 const char *net::protoErrCodeName(ProtoErrCode Code) {
@@ -146,8 +146,7 @@ void net::encodeRequest(std::vector<uint8_t> &Out, const WireRequest &M) {
   std::vector<uint8_t> Body;
   Body.push_back(static_cast<uint8_t>(MsgType::CompileRequest));
   putVarint(Body, M.ReqId);
-  uint8_t Flags = (M.WantDump ? 1 : 0) | (M.Interactive ? 2 : 0);
-  Body.push_back(Flags);
+  Body.push_back(M.WantDump ? 1 : 0);
   putVarint(Body, M.DeadlineMillis);
   putVarint(Body, M.Sources.size());
   for (const SourceInput &S : M.Sources) {
@@ -221,10 +220,9 @@ bool net::decodeRequest(const uint8_t *P, size_t N, const Limits &Lim,
       !C.u64(M.DeadlineMillis, "truncated request deadline") ||
       !C.u64(NumSources, "truncated source count"))
     return false;
-  if (Flags & ~uint8_t(3))
+  if (Flags & ~uint8_t(1))
     return C.fail("unknown request flag bits");
   M.WantDump = Flags & 1;
-  M.Interactive = Flags & 2;
   if (NumSources > Lim.MaxSources)
     return C.fail("source count exceeds limit");
   // Each source needs >= 2 bytes (two empty strings), so a lying count

@@ -49,7 +49,7 @@ namespace net {
 
 /// Protocol version carried in the Hello frame. Bumped on any wire
 /// change; the server refuses mismatches with ProtocolError(BadVersion).
-inline constexpr uint64_t ProtocolVersion = 1;
+inline constexpr uint64_t ProtocolVersion = 2;
 
 /// First four payload bytes of a Hello frame ("MPCN"). A peer that is
 /// not speaking this protocol at all fails here, on its first frame.
@@ -72,10 +72,6 @@ enum class MsgType : uint8_t {
   /// server -> client: graceful shutdown — every owed response has been
   /// sent and the server is about to close the connection.
   Goodbye = 6,
-  /// client -> server: keepalive (resets the idle-reap clock).
-  Ping = 7,
-  /// server -> client: answer to Ping.
-  Pong = 8,
 };
 
 /// True iff \p Raw is a frame type this protocol version defines.
@@ -143,7 +139,6 @@ struct WireHello {
 struct WireRequest {
   uint64_t ReqId = 0;
   bool WantDump = false;
-  bool Interactive = false;
   /// Soft deadline in milliseconds measured from server admission
   /// (0 = none).
   uint64_t DeadlineMillis = 0;
@@ -184,7 +179,7 @@ void encodeResponse(std::vector<uint8_t> &Out, const WireResponse &M);
 void encodeRetryAfter(std::vector<uint8_t> &Out, const WireRetryAfter &M);
 void encodeProtocolError(std::vector<uint8_t> &Out,
                          const WireProtocolError &M);
-void encodeBare(std::vector<uint8_t> &Out, MsgType Type); // Goodbye/Ping/Pong
+void encodeBare(std::vector<uint8_t> &Out, MsgType Type); // Goodbye
 
 /// Payload decoders (the msgType byte is already stripped). Return false
 /// on malformed input with a human-readable \p Err; never throw, never

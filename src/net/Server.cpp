@@ -277,18 +277,8 @@ bool CompileServer::handleFrame(Connection &C, const Frame &F) {
     return true;
   }
 
-  case MsgType::Ping: {
-    std::vector<uint8_t> Out;
-    encodeBare(Out, MsgType::Pong);
-    queueFrame(C, std::move(Out));
-    return true;
-  }
-
   case MsgType::Goodbye:
     return false; // orderly client hang-up; no error owed
-
-  case MsgType::Pong:
-    return true; // tolerated, meaningless from a client
 
   case MsgType::CompileResponse:
   case MsgType::RetryAfter:
@@ -315,8 +305,6 @@ void CompileServer::handleRequest(Connection &C, WireRequest Req) {
   BatchJob Job;
   Job.Sources = std::move(Req.Sources);
   Job.WantDump = Req.WantDump;
-  Job.Priority =
-      Req.Interactive ? JobPriority::Interactive : JobPriority::Batch;
   Job.DeadlineSec = static_cast<double>(Req.DeadlineMillis) / 1000.0;
 
   AdmitResult AR = Service->tryEnqueue(std::move(Job));
@@ -327,8 +315,8 @@ void CompileServer::handleRequest(Connection &C, WireRequest Req) {
   }
   if (AR.Accepted)
     S.RequestsAdmitted.fetch_add(1, std::memory_order_relaxed);
-  // A refusal (or shed victim) may already sit in the inbox; the reactor
-  // reads it only after this entry exists.
+  // A refusal may already sit in the inbox; the reactor reads it only
+  // after this entry exists.
   Pending.emplace(AR.Id, PendingJob{C.ConnId, Req.ReqId});
   ++C.InFlight;
 }

@@ -21,9 +21,10 @@
 ///   - Fixed threads: clients cannot add threads. If accept() runs out of
 ///     fds, the listener leaves the poll set until a connection closes
 ///     (or a short back-off passes) instead of spinning.
-///   - Per-connection lifecycle: idle connections are reaped; beyond
-///     MaxInFlightPerConn jobs, and whenever admission control refuses a
-///     job, the client gets an explicit RetryAfter with a delay hint.
+///   - Per-connection lifecycle: idle connections are reaped (a client
+///     reconnects for its next request); beyond MaxInFlightPerConn jobs,
+///     and whenever admission control refuses a job, the client gets an
+///     explicit RetryAfter with a delay hint.
 ///   - Slow clients: workers never touch a socket. A connection with
 ///     unflushed output is not read from, and one whose output makes no
 ///     progress for WriteTimeoutMs is dropped (slowClientDrops).

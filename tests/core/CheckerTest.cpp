@@ -121,7 +121,7 @@ public:
   ElimIfs() : MiniPhase("ElimIfs", "test: eliminates If nodes") {
     declareTransforms({TreeKind::If});
   }
-  TreePtr transformIf(If *T, PhaseRunContext &Ctx) override {
+  TreePtr transformIf(If *T, PhaseRunContext &) override {
     return TreePtr(T->kid(1)); // keep the then-branch
   }
   bool checkPostCondition(const Tree *T, CompilerContext &) const override {
@@ -163,12 +163,11 @@ PhasePlan makePlan(std::vector<std::unique_ptr<Phase>> Phases, bool Fuse) {
 TEST(PostconditionChecks, ViolationIsAttributedToBreakingPhase) {
   CompilerContext Comp;
   Comp.options().CheckTrees = true;
-  Comp.options().FuseMiniphases = false; // one group per phase: the checker
-                                         // runs between the two phases
 
   std::vector<std::unique_ptr<Phase>> Phases;
   Phases.push_back(std::make_unique<ElimIfs>());
   Phases.push_back(std::make_unique<ReintroduceIfs>());
+  // Unfused: one group per phase, so the checker runs between the two.
   PhasePlan Plan = makePlan(std::move(Phases), /*Fuse=*/false);
 
   std::vector<CompilationUnit> Units;
@@ -191,7 +190,6 @@ TEST(PostconditionChecks, ViolationIsAttributedToBreakingPhase) {
 TEST(PostconditionChecks, CleanPhasesProduceNoFailures) {
   CompilerContext Comp;
   Comp.options().CheckTrees = true;
-  Comp.options().FuseMiniphases = false;
 
   std::vector<std::unique_ptr<Phase>> Phases;
   Phases.push_back(std::make_unique<ElimIfs>());

@@ -114,7 +114,6 @@ TEST(CompileReportHeap, DriverMarksTheFrontendBoundary) {
 
     CompilerContext Staged;
     Staged.heap().setGeometry(YoungGen, 1);
-    Staged.options().FuseMiniphases = Fuse;
     std::vector<std::string> Errors;
     PhasePlan Plan = makeStandardPlan(Fuse, Errors);
     ASSERT_TRUE(Errors.empty());

@@ -298,6 +298,35 @@ TEST(CompileService, CacheKeysOnSourceContent) {
   EXPECT_EQ(Service.stats().get("service.cacheHits"), 1u);
 }
 
+TEST(CompileService, KindDerivedOptionsShareOneCacheEntry) {
+  // compileProgram sets FuseMiniphases from the job's Kind, so a job that
+  // sets it otherwise compiles the same output and replays the same entry.
+  auto Job = [](bool Fuse) {
+    BatchJob J;
+    J.Sources.push_back({"a.scala", corpusPrograms()[0].Source});
+    J.WantDump = true;
+    J.Options.FuseMiniphases = Fuse;
+    return J;
+  };
+  ServiceConfig Cfg;
+  Cfg.Threads = 1;
+  CompileService Service(Cfg);
+  Service.enqueue(Job(true));
+  Service.enqueue(Job(false));
+  std::vector<BatchResult> Results = Service.drain();
+  ASSERT_EQ(Results.size(), 2u);
+  EXPECT_EQ(Service.stats().get("service.cacheMisses"), 1u);
+  EXPECT_EQ(Service.stats().get("service.cacheHits"), 1u);
+  EXPECT_EQ(Results[1].DumpText, Results[0].DumpText);
+
+  // The replay is what the second job compiles to without a cache.
+  std::vector<BatchJob> Uncached;
+  Uncached.push_back(Job(false));
+  BatchResult Cold = serialColdBaseline(std::move(Uncached)).at(0);
+  EXPECT_EQ(Results[1].DumpText, Cold.DumpText);
+  expectSameHeap(Results[1].Heap, Cold.Heap, "FuseMiniphases=false");
+}
+
 TEST(CompileService, ErrorResultsReplayDeterministically) {
   // Error results are cached: the second failing job is a hit and its
   // diagnostics replay byte-identically.
@@ -575,7 +604,6 @@ TEST(CompileService, OnResultDeliversRefusalsImmediately) {
   ServiceConfig Cfg;
   Cfg.Threads = 1;
   Cfg.MaxQueueDepth = 1;
-  Cfg.Policy = QueuePolicy::RejectNewest;
   Cfg.OnResult = Sink.callback();
   CompileService Service(Cfg);
 
@@ -646,7 +674,6 @@ TEST(CompileService, DrainWaitsForRefusalCallback) {
   ServiceConfig Cfg;
   Cfg.Threads = 1;
   Cfg.MaxQueueDepth = 1;
-  Cfg.Policy = QueuePolicy::RejectNewest;
   Cfg.OnResult = [&](uint64_t, BatchResult R) {
     if (R.Status != JobStatus::Rejected)
       return;

@@ -1,13 +1,11 @@
 //===----------------------------------------------------------------------===//
-// Admission-control tests for the compile service: bounded queue with the
-// two QueuePolicy behaviors, the two priority lanes with their
-// anti-starvation burst cap, per-job deadlines (in queue and in compile),
+// Admission-control tests for the compile service: the bounded queue that
+// refuses arrivals when full, per-job deadlines (in queue and in compile),
 // and the stop()/shutdown contract.
 //
 // Determinism technique: most tests run ONE worker gated on the fault
 // injector's StageHook — the worker blocks inside its first job while the
-// test builds an exact queue state, then the gate opens and the dequeue
-// schedule is fully reproducible (asserted via BatchResult::DequeueSeq).
+// test builds an exact queue state, then the gate opens.
 //===----------------------------------------------------------------------===//
 
 #include "driver/CompileService.h"
@@ -25,14 +23,12 @@ using namespace mpc;
 
 namespace {
 
-BatchJob tinyJob(size_t CorpusIdx, JobPriority Priority = JobPriority::Batch,
-                 double DeadlineSec = 0) {
+BatchJob tinyJob(size_t CorpusIdx, double DeadlineSec = 0) {
   const auto &Corpus = corpusPrograms();
   const CorpusProgram &P = Corpus[CorpusIdx % Corpus.size()];
   BatchJob J;
   J.Sources.push_back({P.Name + ".scala", P.Source});
   J.WantDump = true;
-  J.Priority = Priority;
   J.DeadlineSec = DeadlineSec;
   return J;
 }
@@ -90,101 +86,7 @@ BatchResult serialReference(BatchJob Job) {
 }
 
 //===----------------------------------------------------------------------===//
-// ShedOldest under open-loop overload
-//===----------------------------------------------------------------------===//
-
-TEST(ServiceAdmission, ShedOldestBoundsQueueAndKeepsAcceptedJobsExact) {
-  WorkerGate Gate;
-  ScopedFaultInjector Injector(Gate.config());
-
-  ServiceConfig Cfg;
-  Cfg.Threads = 1;
-  Cfg.MaxQueueDepth = 8;
-  Cfg.Policy = QueuePolicy::ShedOldest;
-  Cfg.Cache.Enabled = false;
-  CompileService Service(Cfg);
-
-  // Job 0 blocks inside the worker; 40 more arrive open-loop. The queue
-  // holds 8, so arrivals 9.. displace the oldest queued job each.
-  const size_t Extra = 40;
-  uint64_t TotalShed = 0;
-  ASSERT_TRUE(Service.tryEnqueue(tinyJob(0)).Accepted);
-  Gate.awaitBlocked();
-  for (size_t I = 1; I <= Extra; ++I) {
-    AdmitResult A = Service.tryEnqueue(tinyJob(I));
-    EXPECT_TRUE(A.Accepted) << "arrival " << I;
-    EXPECT_EQ(A.Id, I);
-    TotalShed += A.JobsShed;
-    EXPECT_LE(Service.queuedJobs(), Cfg.MaxQueueDepth) << "arrival " << I;
-  }
-  // Every admission past the eight queue slots shed exactly one victim.
-  EXPECT_EQ(TotalShed, Extra - Cfg.MaxQueueDepth);
-
-  Gate.release();
-  std::vector<BatchResult> Results = Service.drain();
-  ASSERT_EQ(Results.size(), 1 + Extra); // every id owns a slot, in order
-
-  // The survivors: job 0 (running at overload time) and the newest 8.
-  size_t Shed = 0, Survived = 0;
-  for (size_t I = 0; I < Results.size(); ++I) {
-    bool ShouldSurvive = I == 0 || I > Extra - Cfg.MaxQueueDepth;
-    if (ShouldSurvive) {
-      ++Survived;
-      EXPECT_EQ(Results[I].Status, JobStatus::Ok) << "job " << I;
-      EXPECT_FALSE(Results[I].HadErrors) << "job " << I;
-      // Accepted jobs' output is byte-identical to an unloaded run.
-      BatchResult Ref = serialReference(tinyJob(I));
-      EXPECT_EQ(Results[I].DumpText, Ref.DumpText) << "job " << I;
-      EXPECT_EQ(Results[I].DiagText, Ref.DiagText) << "job " << I;
-    } else {
-      ++Shed;
-      EXPECT_EQ(Results[I].Status, JobStatus::Rejected) << "job " << I;
-      EXPECT_TRUE(Results[I].HadErrors) << "job " << I;
-      EXPECT_NE(Results[I].DiagText.find("shed"), std::string::npos)
-          << "job " << I;
-      EXPECT_TRUE(Results[I].DumpText.empty()) << "job " << I;
-    }
-  }
-  EXPECT_EQ(Shed, TotalShed);
-  EXPECT_EQ(Survived, 1 + Cfg.MaxQueueDepth);
-  EXPECT_EQ(Service.stats().get("service.jobsShed"), TotalShed);
-  EXPECT_EQ(Service.stats().get("service.jobsRejected"), 0u);
-  EXPECT_EQ(Service.stats().get("service.queueDepthPeak"), Cfg.MaxQueueDepth);
-}
-
-TEST(ServiceAdmission, ShedOldestPrefersBatchLaneVictims) {
-  WorkerGate Gate;
-  ScopedFaultInjector Injector(Gate.config());
-
-  ServiceConfig Cfg;
-  Cfg.Threads = 1;
-  Cfg.MaxQueueDepth = 4;
-  Cfg.Policy = QueuePolicy::ShedOldest;
-  Cfg.Cache.Enabled = false;
-  CompileService Service(Cfg);
-
-  Service.tryEnqueue(tinyJob(0)); // blocks the worker
-  Gate.awaitBlocked();
-  // Queue: two interactive (ids 1, 2), two batch (ids 3, 4). The next
-  // arrival must shed the OLDEST BATCH job (id 3), not an interactive one.
-  Service.tryEnqueue(tinyJob(1, JobPriority::Interactive));
-  Service.tryEnqueue(tinyJob(2, JobPriority::Interactive));
-  Service.tryEnqueue(tinyJob(3, JobPriority::Batch));
-  Service.tryEnqueue(tinyJob(4, JobPriority::Batch));
-  AdmitResult A = Service.tryEnqueue(tinyJob(5, JobPriority::Interactive));
-  EXPECT_TRUE(A.Accepted);
-  EXPECT_EQ(A.JobsShed, 1u);
-
-  Gate.release();
-  std::vector<BatchResult> Results = Service.drain();
-  ASSERT_EQ(Results.size(), 6u);
-  EXPECT_EQ(Results[3].Status, JobStatus::Rejected); // the batch victim
-  for (size_t I : {size_t(1), size_t(2), size_t(4), size_t(5)})
-    EXPECT_EQ(Results[I].Status, JobStatus::Ok) << "job " << I;
-}
-
-//===----------------------------------------------------------------------===//
-// RejectNewest and Block
+// A full queue refuses arrivals
 //===----------------------------------------------------------------------===//
 
 TEST(ServiceAdmission, RejectNewestRefusesArrivalsAtFullQueue) {
@@ -193,96 +95,47 @@ TEST(ServiceAdmission, RejectNewestRefusesArrivalsAtFullQueue) {
 
   ServiceConfig Cfg;
   Cfg.Threads = 1;
-  Cfg.MaxQueueDepth = 4;
-  Cfg.Policy = QueuePolicy::RejectNewest;
+  Cfg.MaxQueueDepth = 8;
   Cfg.Cache.Enabled = false;
   CompileService Service(Cfg);
 
-  Service.tryEnqueue(tinyJob(0)); // blocks the worker
+  // Job 0 blocks inside the worker; 40 more arrive open-loop. The queue
+  // holds 8, so arrivals 9.. are refused, each still owning an id and a
+  // (immediately completed) Rejected slot.
+  const size_t Extra = 40;
+  ASSERT_TRUE(Service.tryEnqueue(tinyJob(0)).Accepted);
   Gate.awaitBlocked();
-  for (size_t I = 1; I <= 4; ++I)
-    EXPECT_TRUE(Service.tryEnqueue(tinyJob(I)).Accepted) << "arrival " << I;
-  // Queue full: the next three arrivals are refused, each still owning
-  // an id and a (immediately completed) Rejected slot.
-  for (size_t I = 5; I <= 7; ++I) {
+  for (size_t I = 1; I <= Extra; ++I) {
     AdmitResult A = Service.tryEnqueue(tinyJob(I));
-    EXPECT_FALSE(A.Accepted) << "arrival " << I;
+    EXPECT_EQ(A.Accepted, I <= Cfg.MaxQueueDepth) << "arrival " << I;
     EXPECT_EQ(A.Id, I);
-    EXPECT_EQ(A.JobsShed, 0u);
+    EXPECT_LE(Service.queuedJobs(), Cfg.MaxQueueDepth) << "arrival " << I;
   }
 
   Gate.release();
   std::vector<BatchResult> Results = Service.drain();
-  ASSERT_EQ(Results.size(), 8u);
-  for (size_t I = 0; I <= 4; ++I)
-    EXPECT_EQ(Results[I].Status, JobStatus::Ok) << "job " << I;
-  for (size_t I = 5; I <= 7; ++I) {
-    EXPECT_EQ(Results[I].Status, JobStatus::Rejected) << "job " << I;
-    EXPECT_NE(Results[I].DiagText.find("rejected"), std::string::npos);
+  ASSERT_EQ(Results.size(), 1 + Extra); // every id owns a slot, in order
+
+  // The accepted: job 0 (running at overload time) and the first 8 queued.
+  for (size_t I = 0; I < Results.size(); ++I) {
+    if (I <= Cfg.MaxQueueDepth) {
+      EXPECT_EQ(Results[I].Status, JobStatus::Ok) << "job " << I;
+      EXPECT_FALSE(Results[I].HadErrors) << "job " << I;
+      // Accepted jobs' output is byte-identical to an unloaded run.
+      BatchResult Ref = serialReference(tinyJob(I));
+      EXPECT_EQ(Results[I].DumpText, Ref.DumpText) << "job " << I;
+      EXPECT_EQ(Results[I].DiagText, Ref.DiagText) << "job " << I;
+    } else {
+      EXPECT_EQ(Results[I].Status, JobStatus::Rejected) << "job " << I;
+      EXPECT_TRUE(Results[I].HadErrors) << "job " << I;
+      EXPECT_NE(Results[I].DiagText.find("rejected"), std::string::npos)
+          << "job " << I;
+      EXPECT_TRUE(Results[I].DumpText.empty()) << "job " << I;
+    }
   }
-  EXPECT_EQ(Service.stats().get("service.jobsRejected"), 3u);
-  EXPECT_EQ(Service.stats().get("service.jobsShed"), 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Priority lanes
-//===----------------------------------------------------------------------===//
-
-TEST(ServiceAdmission, PriorityLanesFollowBurstCappedSchedule) {
-  WorkerGate Gate;
-  ScopedFaultInjector Injector(Gate.config());
-
-  static_assert(CompileService::InteractiveBurst == 3,
-                "the expected schedule below assumes a burst cap of 3");
-  ServiceConfig Cfg;
-  Cfg.Threads = 1;
-  Cfg.Cache.Enabled = false;
-  CompileService Service(Cfg);
-
-  // The blocker is interactive, so SinceBatch == 1 when the gate opens.
-  Service.tryEnqueue(tinyJob(0, JobPriority::Interactive));
-  Gate.awaitBlocked();
-  for (size_t I = 0; I < 8; ++I)
-    Service.tryEnqueue(tinyJob(1 + I, JobPriority::Interactive));
-  Service.tryEnqueue(tinyJob(9, JobPriority::Batch));
-  Service.tryEnqueue(tinyJob(10, JobPriority::Batch));
-
-  Gate.release();
-  std::vector<BatchResult> Results = Service.drain();
-  ASSERT_EQ(Results.size(), 11u);
-  // One gated worker => the dequeue schedule is exact. Interactive jobs
-  // I0..I7 (enqueue ids 1..8) and batch B0,B1 (ids 9,10) interleave as:
-  // blocker, I0, I1, B0, I2, I3, I4, B1, I5, I6, I7 — batch gets a slot
-  // after every InteractiveBurst consecutive interactive dequeues.
-  const uint64_t ExpectedSeq[11] = {0, 1, 2, 4, 5, 6, 8, 9, 10, 3, 7};
-  for (size_t I = 0; I < 11; ++I) {
-    EXPECT_EQ(Results[I].DequeueSeq, ExpectedSeq[I]) << "job " << I;
-    EXPECT_EQ(Results[I].Status, JobStatus::Ok) << "job " << I;
-  }
-}
-
-TEST(ServiceAdmission, InteractiveJumpsAheadOfQueuedBatchWork) {
-  WorkerGate Gate;
-  ScopedFaultInjector Injector(Gate.config());
-
-  ServiceConfig Cfg;
-  Cfg.Threads = 1;
-  Cfg.Cache.Enabled = false;
-  CompileService Service(Cfg);
-
-  Service.tryEnqueue(tinyJob(0)); // blocks the worker (batch)
-  Gate.awaitBlocked();
-  Service.tryEnqueue(tinyJob(1, JobPriority::Batch));
-  Service.tryEnqueue(tinyJob(2, JobPriority::Batch));
-  Service.tryEnqueue(tinyJob(3, JobPriority::Interactive));
-
-  Gate.release();
-  std::vector<BatchResult> Results = Service.drain();
-  ASSERT_EQ(Results.size(), 4u);
-  // The late interactive arrival (id 3) dequeues before both queued
-  // batch jobs.
-  EXPECT_LT(Results[3].DequeueSeq, Results[1].DequeueSeq);
-  EXPECT_LT(Results[3].DequeueSeq, Results[2].DequeueSeq);
+  EXPECT_EQ(Service.stats().get("service.jobsRejected"),
+            Extra - Cfg.MaxQueueDepth);
+  EXPECT_EQ(Service.stats().get("service.queueDepthPeak"), Cfg.MaxQueueDepth);
 }
 
 //===----------------------------------------------------------------------===//
@@ -301,7 +154,7 @@ TEST(ServiceAdmission, DeadlineExpiredInQueueCompletesWithoutCompiling) {
   Service.tryEnqueue(tinyJob(0)); // blocks the worker
   Gate.awaitBlocked();
   // 1 ms deadline, then the queue wait is forced well past it.
-  Service.tryEnqueue(tinyJob(1, JobPriority::Batch, /*DeadlineSec=*/0.001));
+  Service.tryEnqueue(tinyJob(1, /*DeadlineSec=*/0.001));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   Gate.release();
 
@@ -333,7 +186,7 @@ TEST(ServiceAdmission, DeadlineExceededMidCompileRecyclesTheContext) {
 
   {
     ScopedFaultInjector Injector(FC);
-    Service.enqueue(tinyJob(0, JobPriority::Batch, /*DeadlineSec=*/0.03));
+    Service.enqueue(tinyJob(0, /*DeadlineSec=*/0.03));
     std::vector<BatchResult> Results = Service.drain();
     ASSERT_EQ(Results.size(), 1u);
     EXPECT_EQ(Results[0].Status, JobStatus::DeadlineExceeded);

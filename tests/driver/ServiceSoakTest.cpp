@@ -41,7 +41,6 @@ TEST(ServiceSoak, MixedFaultedStreamReachesResourceFixedPoint) {
   Cfg.Threads = 4;
   Cfg.Cache.Enabled = false; // every job exercises a real context
   Cfg.MaxQueueDepth = 32;
-  Cfg.Policy = QueuePolicy::ShedOldest;
   CompileService Service(Cfg);
   const PagePool &Pages = PagePool::global();
   const uint64_t Fresh0 = Pages.stats().PagesFresh;
@@ -83,8 +82,6 @@ TEST(ServiceSoak, MixedFaultedStreamReachesResourceFixedPoint) {
         J.Sources.push_back({P.Name + ".scala", P.Source});
         J.DeadlineSec = 1e-7;
       }
-      J.Priority =
-          R.next() % 4 == 0 ? JobPriority::Interactive : JobPriority::Batch;
       Service.tryEnqueue(std::move(J));
     }
     std::vector<BatchResult> Results = Service.drain();

@@ -287,14 +287,15 @@ class C {
                 std::string_view N = DD->sym()->name().text();
                 const Type *RT = DD->rhs()->type();
                 ASSERT_NE(RT, nullptr);
-                if (N == "i")
+                if (N == "i") {
                   EXPECT_TRUE(RT->isPrim(PrimKind::Int));
-                else if (N == "d" || N == "mixed")
+                } else if (N == "d" || N == "mixed") {
                   EXPECT_TRUE(RT->isPrim(PrimKind::Double));
-                else if (N == "b")
+                } else if (N == "b") {
                   EXPECT_TRUE(RT->isPrim(PrimKind::Boolean));
-                else if (N == "s")
+                } else if (N == "s") {
                   EXPECT_EQ(RT, Comp.syms().stringType());
+                }
               }
             });
 }
@@ -351,7 +352,7 @@ class C {
   def f(): Int = Box(41).value + 1
 }
 )",
-            [](CompilationUnit &U, CompilerContext &Comp) {
+            [](CompilationUnit &U, CompilerContext &) {
               // The selection Box(41).value must already be Int, not T.
               bool SawValueSelect = false;
               forEachSubtree(U.Root.get(), [&](Tree *T) {
@@ -372,7 +373,7 @@ class C {
   def f(): (Int) => Int = (x: Int) => x + 1
 }
 )",
-            [](CompilationUnit &U, CompilerContext &Comp) {
+            [](CompilationUnit &U, CompilerContext &) {
               Tree *Cl = findFirst(U.Root.get(), TreeKind::Closure);
               ASSERT_NE(Cl, nullptr);
               const auto *FT = dyn_cast<FunctionType>(Cl->type());
@@ -391,7 +392,7 @@ class C {
   def f(c: Boolean, a: A, b: B): A | B = if (c) a else b
 }
 )",
-            [](CompilationUnit &U, CompilerContext &Comp) {
+            [](CompilationUnit &U, CompilerContext &) {
               std::vector<Tree *> Defs;
               collectKind(U.Root.get(), TreeKind::DefDef, Defs);
               for (Tree *T : Defs) {
@@ -413,7 +414,7 @@ class C {
   def unless(c: Boolean, body: => Int): Int = if (c) 0 else body
 }
 )",
-            [](CompilationUnit &U, CompilerContext &Comp) {
+            [](CompilationUnit &U, CompilerContext &) {
               std::vector<Tree *> Defs;
               collectKind(U.Root.get(), TreeKind::DefDef, Defs);
               bool Saw = false;
@@ -435,7 +436,7 @@ TEST(TyperResults, VarargParamTypesAsRepeated) {
   typedUnit(R"(
 class C { def f(xs: Int*): Int = xs.length }
 )",
-            [](CompilationUnit &U, CompilerContext &Comp) {
+            [](CompilationUnit &U, CompilerContext &) {
               std::vector<Tree *> Defs;
               collectKind(U.Root.get(), TreeKind::DefDef, Defs);
               bool Saw = false;
@@ -460,7 +461,7 @@ class C {
   def f(p: P): Int = p.x + p.y
 }
 )",
-            [](CompilationUnit &U, CompilerContext &Comp) {
+            [](CompilationUnit &U, CompilerContext &) {
               // Both selections typecheck; y's field is mutable.
               std::vector<Tree *> Sels;
               collectKind(U.Root.get(), TreeKind::Select, Sels);
@@ -499,7 +500,7 @@ class C {
   def use(rw: R & W): Int = rw.read() + rw.write()
 }
 )",
-            [](CompilationUnit &U, CompilerContext &Comp) {
+            [](CompilationUnit &U, CompilerContext &) {
               int Selections = 0;
               forEachSubtree(U.Root.get(), [&](Tree *T) {
                 auto *Sel = dyn_cast<Select>(T);

@@ -431,9 +431,10 @@ TEST_P(TenuringMechanism, FusionReducesTenuredBytes) {
   // every rewrite under the unfused schedule).
   EXPECT_LT(FusedTenured, UnfusedTenured)
       << "fused=" << FusedTenured << " unfused=" << UnfusedTenured;
-  if (Phases >= 5)
+  if (Phases >= 5) {
     EXPECT_LT(FusedTenured, UnfusedTenured / 2)
         << "fused=" << FusedTenured << " unfused=" << UnfusedTenured;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(PhaseCounts, TenuringMechanism,

@@ -271,8 +271,7 @@ TEST(NetFaultTest, StalledReaderDoesNotWedgeTheServer) {
 
   // Meanwhile polite clients must keep getting answers promptly: no
   // worker ever waits on the rude peer's socket, so a round costs compile
-  // time, not WriteTimeoutMs. Interactive requests wait only for the rude
-  // jobs already running, not for the rude peer's whole queue.
+  // time, not WriteTimeoutMs.
   for (uint64_t Seed : {70u, 71u}) {
     std::string Reference = localDump(Seed);
     ClientConfig CC;
@@ -281,7 +280,6 @@ TEST(NetFaultTest, StalledReaderDoesNotWedgeTheServer) {
     WireRequest Req;
     Req.ReqId = 777;
     Req.WantDump = true;
-    Req.Interactive = true;
     Req.Sources = workload(Seed);
     WireResponse Resp;
     auto Start = std::chrono::steady_clock::now();

@@ -110,7 +110,6 @@ TEST(NetProtocolTest, RequestRoundTrip) {
       << Err;
   EXPECT_EQ(Back.ReqId, 42u);
   EXPECT_TRUE(Back.WantDump);
-  EXPECT_FALSE(Back.Interactive);
   EXPECT_EQ(Back.DeadlineMillis, 1500u);
   ASSERT_EQ(Back.Sources.size(), 2u);
   EXPECT_EQ(Back.Sources[0].FileName, "a.scala");
@@ -179,7 +178,7 @@ TEST(NetProtocolTest, RetryAfterAndErrorRoundTrip) {
 
 TEST(NetProtocolTest, ByteAtATimeDelivery) {
   std::vector<uint8_t> Bytes = encodedRequest();
-  encodeBare(Bytes, MsgType::Ping);
+  encodeBare(Bytes, MsgType::Goodbye);
   size_t Frames = 0;
   EXPECT_EQ(drainAll(Bytes, 1, &Frames), Decode::NeedMore);
   EXPECT_EQ(Frames, 2u);
@@ -227,6 +226,21 @@ TEST(NetProtocolTest, UnknownMsgTypeIsTypedError) {
   Frame F;
   EXPECT_EQ(Reader.next(F), Decode::Error);
   EXPECT_EQ(Reader.errorCode(), ProtoErrCode::UnknownMsgType);
+}
+
+TEST(NetProtocolTest, RetiredKeepaliveTypesAreUnknown) {
+  // Types 7 and 8 (the version-1 Ping/Pong keepalive) no longer exist.
+  for (uint8_t Raw : {uint8_t(7), uint8_t(8)}) {
+    std::vector<uint8_t> Bytes;
+    putVarint(Bytes, 1);
+    Bytes.push_back(Raw);
+    FrameReader Reader;
+    Reader.feed(Bytes.data(), Bytes.size());
+    Frame F;
+    EXPECT_EQ(Reader.next(F), Decode::Error) << "type " << int(Raw);
+    EXPECT_EQ(Reader.errorCode(), ProtoErrCode::UnknownMsgType)
+        << "type " << int(Raw);
+  }
 }
 
 TEST(NetProtocolTest, PoisonedReaderStaysPoisoned) {
@@ -287,6 +301,20 @@ TEST(NetProtocolTest, UnknownRequestFlagBitsRejected) {
   std::vector<uint8_t> Payload;
   putVarint(Payload, 1);
   Payload.push_back(0x80); // undefined flag bit
+  putVarint(Payload, 0);
+  putVarint(Payload, 0);
+  WireRequest M;
+  std::string Err;
+  EXPECT_FALSE(
+      decodeRequest(Payload.data(), Payload.size(), Limits(), M, Err));
+  EXPECT_EQ(Err, "unknown request flag bits");
+}
+
+TEST(NetProtocolTest, RetiredInteractiveFlagRejected) {
+  // Flag bit 2 was the version-1 priority-lane request; it is undefined now.
+  std::vector<uint8_t> Payload;
+  putVarint(Payload, 1);
+  Payload.push_back(2);
   putVarint(Payload, 0);
   putVarint(Payload, 0);
   WireRequest M;
@@ -577,6 +605,19 @@ TEST(NetProtocolTest, ServerRejectsBadMagicAndBadVersion) {
     ASSERT_TRUE(R.SawProtoError);
     EXPECT_EQ(R.LastErr.Code, ProtoErrCode::BadVersion);
   }
+  expectServerStillServes(Fx.Port);
+}
+
+TEST(NetProtocolTest, ServerRefusesVersionOneHello) {
+  // A version-1 peer may send keepalives or the priority flag, so the
+  // version-2 server refuses it at the handshake.
+  ServerFixture Fx;
+  std::vector<uint8_t> Bytes;
+  encodeHello(Bytes, WireHello{1});
+  RawPeerResult R = rawExchange(Fx.Port, Bytes);
+  ASSERT_TRUE(R.SawProtoError);
+  EXPECT_EQ(R.LastErr.Code, ProtoErrCode::BadVersion);
+  EXPECT_TRUE(R.SawClose);
   expectServerStillServes(Fx.Port);
 }
 

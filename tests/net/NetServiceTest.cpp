@@ -4,7 +4,8 @@
 // wire are byte-identical to local compiles, admission refusals surface
 // as RetryAfter (and the client's backoff machinery recovers), responses
 // flow out of order per connection, graceful drain answers everything it
-// admitted, and idle connections are reaped (unless kept alive by Ping).
+// admitted, and idle connections are reaped (a client reconnects on its
+// next compile).
 // The server's one reactor thread is pinned too: a connection flood adds
 // no threads, and fd exhaustion at accept() neither spins nor stops the
 // connections already open from being served.
@@ -295,7 +296,6 @@ TEST(NetServiceTest, QueueOverflowSurfacesAsRetryAfter) {
   ServerConfig Cfg = TestServer::base();
   Cfg.Service.Threads = 1;
   Cfg.Service.MaxQueueDepth = 1;
-  Cfg.Service.Policy = QueuePolicy::RejectNewest;
   Cfg.MaxInFlightPerConn = 16; // let the service, not the conn cap, refuse
   TestServer TS(Cfg);
 
@@ -322,7 +322,6 @@ TEST(NetServiceTest, ClientRetryRecoversFromOverload) {
   ServerConfig Cfg = TestServer::base();
   Cfg.Service.Threads = 1;
   Cfg.Service.MaxQueueDepth = 1;
-  Cfg.Service.Policy = QueuePolicy::RejectNewest;
   TestServer TS(Cfg);
 
   // Several aggressive clients against a tiny queue: with backoff and
@@ -493,7 +492,7 @@ TEST(NetServiceTest, IdleConnectionsAreReaped) {
   EXPECT_GE(TS.Server.snapshot().IdleReaped, 1u);
 }
 
-TEST(NetServiceTest, PingDefeatsIdleReaping) {
+TEST(NetServiceTest, ReapedClientReconnectsOnNextCompile) {
   ServerConfig Cfg = TestServer::base();
   Cfg.IdleTimeoutMs = 150;
   TestServer TS(Cfg);
@@ -502,19 +501,28 @@ TEST(NetServiceTest, PingDefeatsIdleReaping) {
   CC.Port = TS.Port;
   CompileClient Client(CC);
   std::string Err;
-  ASSERT_TRUE(Client.connect(Err)) << Err;
-  // Keep pinging well past several idle windows.
-  for (int I = 0; I < 8; ++I) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    ASSERT_TRUE(Client.ping()) << "reaped despite keepalives, round " << I;
-  }
-  // And the connection still compiles.
   WireRequest Req;
   Req.ReqId = 1;
+  Req.WantDump = true;
   Req.Sources = workload(3);
   WireResponse Resp;
-  EXPECT_EQ(Client.call(Req, Resp), CallStatus::Response) << Client.error();
-  EXPECT_EQ(TS.Server.snapshot().IdleReaped, 0u);
+  ASSERT_TRUE(Client.compile(Req, Resp, Err)) << Err;
+  EXPECT_EQ(Client.stats().Reconnects, 0u);
+
+  // Stay idle until the server reaps the connection.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (TS.Server.snapshot().IdleReaped == 0 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_EQ(TS.Server.snapshot().IdleReaped, 1u);
+
+  // The next compile finds the connection closed, reconnects and
+  // completes with the local answer.
+  Req.ReqId = 2;
+  ASSERT_TRUE(Client.compile(Req, Resp, Err)) << Err;
+  EXPECT_EQ(Resp.Status, WireStatus::Ok);
+  EXPECT_EQ(Resp.DumpText, localCompile(workload(3)).DumpText);
+  EXPECT_EQ(Client.stats().Reconnects, 1u);
   Client.close();
 }
 

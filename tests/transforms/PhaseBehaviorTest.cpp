@@ -82,14 +82,17 @@ class C {
     EXPECT_LE(cast<DefDef>(D)->paramListSizes().size(), 1u);
     // Signatures flattened too.
     const Type *Info = cast<DefDef>(D)->sym()->info();
-    if (const auto *MT = dyn_cast<MethodType>(Info))
+    if (const auto *MT = dyn_cast<MethodType>(Info)) {
       EXPECT_FALSE(isa<MethodType>(MT->result()));
+    }
   }
   // No nested method-typed Apply remains.
   forEachSubtree(U.Root.get(), [](Tree *T) {
-    if (auto *A = dyn_cast<Apply>(T))
-      if (auto *Inner = dyn_cast<Apply>(A->fun()))
+    if (auto *A = dyn_cast<Apply>(T)) {
+      if (auto *Inner = dyn_cast<Apply>(A->fun())) {
         EXPECT_FALSE(Inner->type() && isa<MethodType>(Inner->type()));
+      }
+    }
   });
 }
 
@@ -126,8 +129,9 @@ class C {
   collectKind(U.Root.get(), TreeKind::DefDef, Defs);
   for (Tree *D : Defs) {
     auto *DD = cast<DefDef>(D);
-    if (DD->sym()->name().text() == "notTail")
+    if (DD->sym()->name().text() == "notTail") {
       EXPECT_EQ(countKind(DD, TreeKind::Goto), 0u);
+    }
   }
 }
 

@@ -348,10 +348,11 @@ object Counter {
     if (DD->sym()->is(SymFlag::Constructor))
       continue;
     forEachSubtree(DD, [&](Tree *T) {
-      if (auto *Th = dyn_cast<This>(T))
+      if (auto *Th = dyn_cast<This>(T)) {
         EXPECT_FALSE(Th->cls()->is(SymFlag::ModuleClass))
             << "module-class `this` survived ElimStaticThis in "
             << DD->sym()->name().text();
+      }
     });
   }
 }
@@ -401,9 +402,10 @@ class C {
                                    "LabelDefs");
   // No Block remains whose direct result expression is itself a Block.
   forEachSubtree(U.Root.get(), [&](Tree *T) {
-    if (auto *B = dyn_cast<Block>(T))
+    if (auto *B = dyn_cast<Block>(T)) {
       EXPECT_FALSE(isa<Block>(B->expr()))
           << "nested block survived FlattenBlocks";
+    }
   });
 }
 

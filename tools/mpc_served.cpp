@@ -3,8 +3,7 @@
 // mpc_served: the long-lived compile server binary.
 //
 //   mpc_served [--port N] [--threads N] [--queue-depth N]
-//              [--policy reject|shed] [--max-inflight N]
-//              [--idle-timeout-ms N] [--cache-mb N]
+//              [--max-inflight N] [--idle-timeout-ms N] [--cache-mb N]
 //
 // Prints "listening on 127.0.0.1:<port>" once the socket is bound (with
 // --port 0 the kernel picks the port — that line is how a harness learns
@@ -65,17 +64,6 @@ int main(int Argc, char **Argv) {
     } else if (A == "--queue-depth") {
       Cfg.Service.MaxQueueDepth = static_cast<size_t>(
           uintFlag(Argc, Argv, I, "--queue-depth", 0, SIZE_MAX));
-    } else if (A == "--policy") {
-      std::string P = flagValue(Argc, Argv, I, "--policy");
-      if (P == "reject")
-        Cfg.Service.Policy = QueuePolicy::RejectNewest;
-      else if (P == "shed")
-        Cfg.Service.Policy = QueuePolicy::ShedOldest;
-      else {
-        std::fprintf(stderr, "mpc_served: unknown policy '%s'\n",
-                     P.c_str());
-        return 2;
-      }
     } else if (A == "--max-inflight") {
       Cfg.MaxInFlightPerConn = static_cast<uint32_t>(
           uintFlag(Argc, Argv, I, "--max-inflight", 1, UINT32_MAX));
